@@ -1387,8 +1387,8 @@ def q_cdc_multi_table(sf_dir: str):
     )
     with tempfile.TemporaryDirectory(prefix="mt_", dir="/tmp") as d:
         # streaming barrier-free single pass is the default (the scale
-        # layout); the sort-based single pass and the per-stream loop
-        # remain correctness cross-checks in tests/test_multi_table.py
+        # layout); the per-stream loop remains the correctness
+        # cross-check in tests/test_multi_table.py
         results = replay_multi_table_streaming(
             env, d, CaptureConfig(key_cols=("user_id",), num_buckets=8)
         )

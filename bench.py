@@ -48,17 +48,9 @@ REPLAY_BATCH = 131072  # measured sweet spot (262144 degrades: buffering)
 # so small blocks keep all slots busy (512 MB starved the sort at 1-2
 # blocks per 1M-event segment; measured 27.4s -> 18.5s at 32 cpus)
 TARGET_BLOCK_MB = int(os.environ.get("GRAFT_BLOCK_MB", "32"))
-# apply mode (fastest first):
-#   streaming — barrier-free actor-pool merge (run_streaming): 8.4M WAL
-#               45.6 -> 7.8 s at 32 cpus vs monolithic; 50.4M WAL 36 s at
-#               32 / 119 s at 8 -> scaling efficiency 0.83
-#   pipelined — segment commits, decode N+1 overlaps merge N (~16 s)
-#   mono      — single sort-shuffle run (~45 s)
-APPLY_MODE = os.environ.get("GRAFT_APPLY_MODE", "streaming")
-PIPELINE_GROUPS = int(os.environ.get("GRAFT_PIPELINE_GROUPS", "8"))
-# read parallelism per segment group (a group is only ~8 files — without
-# the override the whole prepare phase runs ≤8 tasks wide)
-GROUP_READ_BLOCKS = int(os.environ.get("GRAFT_GROUP_READ_BLOCKS", "64"))
+# the replay runs the barrier-free actor-pool merge (run_streaming): 8.4M
+# WAL 45.6 -> 7.8 s at 32 cpus vs one sort-shuffle run; 50.4M WAL 36 s at
+# 32 / 119 s at 8 -> scaling efficiency 0.83
 _WAL_READ_BLOCKS_ENV = os.environ.get("GRAFT_WAL_READ_BLOCKS")
 
 
@@ -147,38 +139,16 @@ def bench_cdc_replay(
         CaptureConfig(num_buckets=NUM_BUCKETS, batch_size=REPLAY_BATCH),
         lake,
     )
-    if APPLY_MODE == "streaming":
-        from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
+    from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
-        res = job.run_streaming(
-            ray.data.read_parquet(
-                wal_dir,
-                columns=list(APPLY_COLUMNS),
-                override_num_blocks=wal_read_blocks(n_events),
-            ),
-            snapshot=ray.data.read_parquet(
-                snap_dir, columns=list(APPLY_COLUMNS)
-            ),
-        )
-        seen = res.events_seen
-    elif PIPELINE_GROUPS > 1:
-        import glob
-
-        files = sorted(glob.glob(os.path.join(wal_dir, "*.parquet")))
-        per = (len(files) + PIPELINE_GROUPS - 1) // PIPELINE_GROUPS
-        groups = [
-            ray.data.read_parquet(
-                files[i : i + per], override_num_blocks=GROUP_READ_BLOCKS
-            )
-            for i in range(0, len(files), per)
-        ]
-        out = job.run_segments_pipelined(
-            groups, snapshot=ray.data.read_parquet(snap_dir)
-        )
-        seen = sum(r.events_seen for r in out)
-    else:
-        res = job.run_from_paths(wal_dir, snapshot_paths=snap_dir)
-        seen = res.events_seen
+    seen = job.run_streaming(
+        ray.data.read_parquet(
+            wal_dir,
+            columns=list(APPLY_COLUMNS),
+            override_num_blocks=wal_read_blocks(n_events),
+        ),
+        snapshot=ray.data.read_parquet(snap_dir, columns=list(APPLY_COLUMNS)),
+    ).events_seen
     dt = time.monotonic() - t0
     shutil.rmtree(lake, ignore_errors=True)
     return {"sec": dt, "events": seen, "eps": seen / dt}

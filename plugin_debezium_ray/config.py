@@ -140,7 +140,6 @@ class CaptureConfig:
     # physical knobs
     num_buckets: int = 64  # primary-key hash partitions of the lake table
     batch_size: int = 65536
-    apply_concurrency: int | tuple[int, int] | None = None
 
     def compiled_includes(self) -> list[re.Pattern] | None:
         return [re.compile(p) for p in self.included_tables] or None

@@ -8,13 +8,15 @@ arrive; our equivalent maintains one bucketed lake table per
 so per-table schema evolution and per-table resume stay independent
 (mirroring Debezium's per-table topic model).
 
-Physical plan: discover streams with ONE column-pruned pass, then run a
-filtered replay per stream.  Each pass prunes at the read when given
-paths (predicate on source.table is applied after decode of only the
-needed columns).  For many-table sources the next optimization step is a
-single shared shuffle keyed on (stream, bucket); the per-stream loop is
-the correctness-first layout (few tables per job is the common case —
-the reference defaults to table include-lists).
+Two physical plans, both discovering streams with ONE column-pruned pass:
+
+- ``replay_multi_table``: a filtered ``ReplayJob.run`` per stream — the
+  correctness-first reference layout (few tables per job is the common
+  case — the reference defaults to table include-lists).
+- ``replay_multi_table_streaming``: ONE pass over the WAL for all tables
+  on the push route, shard actors keyed on (stream, bucket); each
+  stream's restore and manifest commit are ``ReplayJob``'s own
+  ``_prepare`` / ``_commit``.
 """
 
 from __future__ import annotations
@@ -37,11 +39,9 @@ from plugin_debezium_ray.stages.apply import (
     BUCKET_COL,
     _one_chunk,
     WEIGHT_COL,
-    BucketMerge,
     _composite_key,
     _winners_and_weights,
 )
-from plugin_debezium_ray.state.checkpoint import CheckpointManager, build_manifest
 
 STREAM_COL = "_stream"
 
@@ -132,7 +132,7 @@ def replay_multi_table(
     return results
 
 
-# --------------------------------------------------- single-pass variant
+# --------------------------------------------------- streaming variant
 
 
 def make_project_multi(
@@ -143,8 +143,7 @@ def make_project_multi(
     """Shared multi-table projection: envelope batch → rows with
     ``_stream``, payload, ``_bucket``, ``_weight`` — stream filter,
     per-(stream, bucket) ledger filter and per-(stream, key) LWW
-    pre-reduce included.  Used by both the single-pass sort variant and
-    the streaming actor-pool variant."""
+    pre-reduce included — the projection of the streaming pass."""
     key_cols = config.key_cols
     num_buckets = config.num_buckets
 
@@ -235,125 +234,6 @@ def make_project_multi(
     return project_multi
 
 
-
-
-
-def replay_multi_table_single_pass(
-    envelopes: "ray.data.Dataset",
-    base_dir: str,
-    config: CaptureConfig,
-    *,
-    connector_id: str | None = None,
-    fingerprint_col: str = "content",
-) -> dict[str, ReplayResult]:
-    """All tables in ONE pass over the WAL and ONE shared shuffle.
-
-    The per-stream loop of ``replay_multi_table`` re-reads the stream per
-    table; here the partition key becomes ``(stream, hash(key) % B)``, so
-    a single groupby routes every table's events to its merge groups —
-    the minimize-shuffles layout for many-table sources.  Per-stream
-    manifests/ledgers stay independent (commits are still per table,
-    folded from the shared stats output).
-
-    Constraint (as with the N-pass variant): all tables share one payload
-    struct schema in the envelope stream; DDL events are global.
-    """
-    import time
-
-    t0 = time.monotonic()
-    streams = discover_streams(
-        envelopes,
-        included=config.included_tables,
-        excluded=config.excluded_tables,
-    )
-    ckpts = {
-        s: CheckpointManager(os.path.join(base_dir, s)) for s in streams
-    }
-    parents = {s: ckpts[s].restore() for s in streams}
-    versions = {
-        s: (int(p["version"]) + 1) if p else 1 for s, p in parents.items()
-    }
-    ledgers = {s: ckpts[s].ledger() if parents[s] else {} for s in streams}
-    prior_paths = {
-        s: ckpts[s].bucket_paths() if parents[s] else {} for s in streams
-    }
-    prior_fps = {
-        s: ckpts[s].bucket_fingerprints() if parents[s] else {}
-        for s in streams
-    }
-
-    stream_set = set(streams)
-    key_cols = config.key_cols
-    project_multi = make_project_multi(config, stream_set, ledgers)
-
-    applied = envelopes.map_batches(
-        project_multi, batch_format="pyarrow", batch_size=config.batch_size
-    )
-
-    merges = {
-        s: BucketMerge(
-            key_cols,
-            os.path.join(base_dir, s, "data"),
-            f"v{versions[s]:06d}",
-            prior_paths=prior_paths[s],
-            prior_fingerprints=prior_fps[s],
-            ledger=ledgers[s],
-            fingerprint_col=fingerprint_col,
-        )
-        for s in streams
-    }
-
-    def merge_group(group: pa.Table) -> pa.Table:
-        if len(group) == 0:
-            return merges[streams[0]](group).append_column(
-                "stream", pa.array([], pa.string())
-            )
-        stream = group[STREAM_COL][0].as_py()
-        stats = merges[stream](group.drop_columns([STREAM_COL]))
-        return stats.append_column("stream", pa.array([stream]))
-
-    from plugin_debezium_ray.smallfetch import fetch_small_rows
-
-    stats_rows = fetch_small_rows(
-        applied.groupby([STREAM_COL, BUCKET_COL])
-        .map_groups(merge_group, batch_format="pyarrow")
-    )
-
-    results: dict[str, ReplayResult] = {}
-    wall = time.monotonic() - t0
-    for s in streams:
-        rows = [r for r in stats_rows if r.get("stream") == s]
-        # single-pass does not replay DDL (global-schema constraint, see
-        # docstring) — carry the stream's prior registry snapshot forward
-        # so evolution applied by earlier per-stream runs is never lost
-        prior_schema = (parents[s] or {}).get("schema") or {
-            "fields": [], "log": [], "defaults": {}
-        }
-        manifest = build_manifest(
-            version=versions[s],
-            connector_id=connector_id,
-            stats_rows=rows,
-            parent=parents[s],
-            schema_snapshot=prior_schema,
-            extra_metrics={"wall_seconds": wall, "single_pass": True},
-        )
-        mpath = ckpts[s].save(manifest)
-        results[s] = ReplayResult(
-            versions[s],
-            int(manifest["metrics"]["events_applied"]),
-            int(manifest["metrics"]["events_seen"]),
-            int(manifest["metrics"]["buckets_touched"]),
-            mpath,
-            os.path.join(base_dir, s),
-            wall,
-            metrics=manifest["metrics"],
-        )
-    return results
-
-
-# --------------------------------------------------- streaming variant
-
-
 def replay_multi_table_streaming(
     envelopes: "ray.data.Dataset",
     base_dir: str,
@@ -372,10 +252,10 @@ def replay_multi_table_streaming(
     while the scan flows; shards LWW-reduce on (stream, key) and at
     finalize group by (stream, bucket), merging into each stream's OWN
     lake with its own ledger/prior state.  Per-stream manifests commit
-    independently, exactly like the sort-based single pass (same layout,
+    independently (same layout as ``replay_multi_table``,
     interchangeable).
 
-    Constraint (as with the other variants): all tables share one payload
+    Constraint: all tables share one payload
     struct schema; DDL is not replayed in-pass (prior registry snapshots
     carry forward)."""
     import time
@@ -383,7 +263,7 @@ def replay_multi_table_streaming(
     import ray
 
     from plugin_debezium_ray.pipelines.streaming_apply import (
-        MergeShard,
+        _make_shard_pool,
         make_decode_push,
     )
 
@@ -393,85 +273,48 @@ def replay_multi_table_streaming(
         included=config.included_tables,
         excluded=config.excluded_tables,
     )
-    ckpts = {s: CheckpointManager(os.path.join(base_dir, s)) for s in streams}
-    parents = {s: ckpts[s].restore() for s in streams}
-    versions = {
-        s: (int(p["version"]) + 1) if p else 1 for s, p in parents.items()
-    }
-    ledgers = {s: ckpts[s].ledger() if parents[s] else {} for s in streams}
-    prior_paths = {
-        s: ckpts[s].bucket_paths() if parents[s] else {} for s in streams
-    }
-    prior_fps = {
-        s: ckpts[s].bucket_fingerprints() if parents[s] else {}
-        for s in streams
-    }
-    project_multi = make_project_multi(config, set(streams), ledgers)
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    if num_shards is None:
-        num_shards = max(2, min(config.num_buckets, cpus))
-    per = (config.num_buckets + num_shards - 1) // num_shards
-    shards = [
-        MergeShard.options(
-            # SPREAD: one pool's shards land across cluster nodes (the
-            # multi-node claim of the design, streaming_apply.py:26-28)
-            num_cpus=0.5, scheduling_strategy="SPREAD",
-        ).remote(
-            config.key_cols, lo, min(lo + per, config.num_buckets),
-            compact_rows=compact_rows, stream_col=STREAM_COL,
-        )
-        for lo in range(0, config.num_buckets, per)
-    ]
-    shard_of = np.arange(config.num_buckets) // per
-    decode_and_push = make_decode_push(project_multi, shards, shard_of)
-
-    envelopes.map_batches(
-        decode_and_push, batch_format="pyarrow", batch_size=config.batch_size
-    ).sum("n")
-
-    per_stream = {
-        s: {
-            "out_dir": os.path.join(base_dir, s, "data"),
-            "commit_id": f"v{versions[s]:06d}",
-            "prior_paths": prior_paths[s],
-            "prior_fingerprints": prior_fps[s],
-            "ledger": ledgers[s],
-        }
-        for s in streams
-    }
-    stats_refs = [
-        sh.finalize_multi.remote(per_stream, fingerprint_col=fingerprint_col)
-        for sh in shards
-    ]
-    stats_rows = [r for rows in ray.get(stats_refs) for r in rows]
-    for sh in shards:
-        ray.kill(sh)
-
-    results: dict[str, ReplayResult] = {}
-    wall = time.monotonic() - t0
-    for s in streams:
-        rows = [r for r in stats_rows if r.get("stream") == s]
-        prior_schema = (parents[s] or {}).get("schema") or {
-            "fields": [], "log": [], "defaults": {}
-        }
-        manifest = build_manifest(
-            version=versions[s],
-            connector_id=connector_id,
-            stats_rows=rows,
-            parent=parents[s],
-            schema_snapshot=prior_schema,
-            extra_metrics={"wall_seconds": wall, "streaming_multi": True},
-        )
-        mpath = ckpts[s].save(manifest)
-        results[s] = ReplayResult(
-            versions[s],
-            int(manifest["metrics"]["events_applied"]),
-            int(manifest["metrics"]["events_seen"]),
-            int(manifest["metrics"]["buckets_touched"]),
-            mpath,
+    jobs = {
+        s: ReplayJob(
+            config,
             os.path.join(base_dir, s),
-            wall,
-            metrics=manifest["metrics"],
+            connector_id=connector_id,
+            fingerprint_col=fingerprint_col,
         )
-    return results
+        for s in streams
+    }
+    # DDL is not replayed in-pass: each stream's registry carries forward
+    preps = {s: job._prepare(envelopes, None, False) for s, job in jobs.items()}
+    project_multi = make_project_multi(
+        config, set(streams), {s: p.ledger for s, p in preps.items()}
+    )
+
+    shards, shard_of = _make_shard_pool(
+        config, num_shards, compact_rows, stream_col=STREAM_COL
+    )
+    try:
+        envelopes.map_batches(
+            make_decode_push(project_multi, shards, shard_of),
+            batch_format="pyarrow",
+            batch_size=config.batch_size,
+        ).sum("n")
+        per_stream = {s: p.merge_kw() for s, p in preps.items()}
+        stats_rows = [
+            r
+            for rows in ray.get(
+                [sh.finalize_multi.remote(per_stream) for sh in shards]
+            )
+            for r in rows
+        ]
+    finally:
+        for sh in shards:
+            ray.kill(sh)
+
+    return {
+        s: jobs[s]._commit(
+            preps[s],
+            [r for r in stats_rows if r.get("stream") == s],
+            {"streaming_multi": True},
+            t0,
+        )
+        for s in streams
+    }

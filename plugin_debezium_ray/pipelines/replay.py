@@ -9,20 +9,34 @@ One job object with the reference's three surfaces
 - ``iter_events()``— realtime trigger: per-record streaming iterator
                      (`AbstractDebeziumRealtimeTrigger.java:117-186`)
 
-Pipeline (one hash shuffle total — SURVEY.md §7.3):
+Every commit of every apply entry point runs ONE core, ``_apply``:
 
-    envelopes ─ map_batches(project_for_apply: decode + ledger filter +
-                per-batch LWW pre-reduce)            [stateless tasks]
-              ─ groupby(_bucket).map_groups(BucketMerge)   [the shuffle]
-              ─ per-bucket Parquet write (deterministic names)
-              ─ tiny stats Dataset → manifest → atomic checkpoint commit
+    _prepare  restore the parent commit (ledger, prior bucket files and
+              fingerprints, version), replay schema history into the
+              registry, apply ``max_records`` and the ``snapshot_mode``
+              rules (NO_DATA, the ``max_snapshot_duration`` sub-commit)
+    route     map_batches(project_for_apply: decode + ledger filter +
+              per-batch LWW pre-reduce), then route each bucket's events
+              to ``BucketMerge`` (per-bucket merge + deterministic Parquet
+              write), by one of two strategies:
+                sort — groupby(_bucket).map_groups(BucketMerge), one hash
+                       shuffle (SURVEY.md §7.3): ``run``, ``run_segments``
+                push — decode tasks push slices into MergeShard actors,
+                       ``MergeShard.finalize`` merges
+                       (``pipelines/streaming_apply.py``): ``run_streaming``,
+                       ``run_streaming_segments``, ``StreamingSession``
+    _commit   stats rows → manifest → atomic checkpoint commit
+
+Both routes write byte-identical bucket files, so they are
+interchangeable on one lake.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pyarrow as pa
 
@@ -61,6 +75,83 @@ class ReplayResult:
     @property
     def size(self) -> int:  # the reference Output.size analogue
         return self.events_seen
+
+
+#: the snapshot modes that load ``snapshot`` into a lake with no commit yet
+_SNAPSHOT_MODES = (
+    SnapshotMode.INITIAL,
+    SnapshotMode.ALWAYS,
+    SnapshotMode.WHEN_NEEDED,
+    SnapshotMode.INITIAL_ONLY,
+)
+
+
+@dataclass
+class _Prepared:
+    """One commit as ``ReplayJob._prepare`` set it up; the routes and
+    ``_commit`` read only this."""
+
+    cfg: CaptureConfig
+    parent: dict | None
+    ledger: dict
+    prior_paths: dict
+    prior_fps: dict
+    version: int
+    reg: SchemaRegistry
+    #: the records to apply; None under NO_DATA (commit the schema only)
+    ds: "ray.data.Dataset | None"
+    data_dir: str
+    fingerprint_col: str | None
+    metrics: dict
+    #: events a separately committed snapshot phase consumed
+    snapshot_seen: int = 0
+
+    def project(self):
+        """The ``map_batches`` fn: decode + ledger filter + pre-reduce."""
+        cfg = self.cfg
+        return project_for_apply(
+            cfg.key_cols,
+            cfg.num_buckets,
+            ledger=self.ledger,
+            max_lsn=cfg.max_lsn,
+            renames=self.reg.rename_map(),
+            added_columns=self.reg.added_columns(),
+        )
+
+    def merge_kw(self) -> dict:
+        """This commit's ``BucketMerge`` / ``MergeShard.finalize`` args."""
+        return dict(
+            out_dir=self.data_dir,
+            commit_id=f"v{self.version:06d}",
+            prior_paths=self.prior_paths,
+            prior_fingerprints=self.prior_fps,
+            ledger=self.ledger,
+            fingerprint_col=self.fingerprint_col,
+            renames=self.reg.rename_map(),
+        )
+
+
+def _sort_route(prep: _Prepared) -> tuple[list[dict], dict]:
+    """The sort route: ONE hash shuffle (groupby bucket), then
+    ``BucketMerge`` merges each bucket into its prior state."""
+    from plugin_debezium_ray.smallfetch import fetch_small_rows
+
+    cfg = prep.cfg
+    merge = BucketMerge(cfg.key_cols, **prep.merge_kw())
+
+    def merge_bucket(group: pa.Table) -> pa.Table:
+        return merge(group)
+
+    t0 = time.monotonic()
+    stats = (
+        prep.ds.map_batches(
+            prep.project(), batch_format="pyarrow", batch_size=cfg.batch_size
+        )
+        .groupby(BUCKET_COL)
+        .map_groups(merge_bucket, batch_format="pyarrow")
+    )
+    rows = fetch_small_rows(stats)  # ≤ num_buckets tiny rows
+    return rows, {"apply_wall_seconds": round(time.monotonic() - t0, 3)}
 
 
 class ReplayJob:
@@ -121,15 +212,15 @@ class ReplayJob:
 
     def run(
         self,
-        envelopes: "ray.data.Dataset | None",
+        envelopes: "ray.data.Dataset",
         *,
         snapshot: "ray.data.Dataset | None" = None,
         ddl_source: "ray.data.Dataset | bool | None" = None,
-        _pre_applied: "ray.data.Dataset | None" = None,
     ) -> ReplayResult:
-        """One batch capture: restore state → schema replay → apply →
-        atomic commit.  Idempotent: rerunning with the same envelopes
-        applies zero events (the CaptureTest.java:97-99 contract).
+        """One batch capture on the sort route: restore state → schema
+        replay → apply → atomic commit.  Idempotent: rerunning with the
+        same envelopes applies zero events (the CaptureTest.java:97-99
+        contract).
 
         ``ddl_source``: column-pruned Dataset to scan for DDL events
         (pass ``read_parquet(wal, columns=["lsn","seq","op","ddl"])`` —
@@ -137,186 +228,149 @@ class ReplayJob:
         deriving it from ``envelopes`` re-deserializes the image columns);
         ``False`` skips the scan for sources known to carry no DDL;
         ``None`` derives from ``envelopes``."""
+        return self._apply(
+            envelopes, _sort_route, snapshot=snapshot, ddl_source=ddl_source
+        )
+
+    def _apply(
+        self,
+        envelopes: "ray.data.Dataset",
+        route,
+        *,
+        snapshot: "ray.data.Dataset | None" = None,
+        ddl_source: "ray.data.Dataset | bool | None" = None,
+        metrics: dict | None = None,
+    ) -> ReplayResult:
+        """The apply core behind every entry point: prepare → route →
+        commit.  ``route(prep)`` writes the touched bucket files and
+        returns ``(stats_rows, route_metrics)`` — ``_sort_route`` here,
+        the shard pool's push route in ``pipelines/streaming_apply.py``."""
         t0 = time.monotonic()
+        prep = self._prepare(envelopes, snapshot, ddl_source, route)
+        if isinstance(prep, ReplayResult):
+            return prep  # the snapshot phase overran its budget
+        rows, route_metrics = route(prep) if prep.ds is not None else ([], {})
+        return self._commit(prep, rows, {**route_metrics, **(metrics or {})}, t0)
+
+    def _prepare(
+        self,
+        envelopes: "ray.data.Dataset",
+        snapshot: "ray.data.Dataset | None",
+        ddl_source: "ray.data.Dataset | bool | None",
+        route=None,
+    ) -> "_Prepared | ReplayResult":
+        """Everything a commit decides before routing: restore the parent
+        commit, replay schema history into the registry (ST3), and apply
+        the ``max_records`` and ``snapshot_mode`` rules.
+
+        Under a ``max_snapshot_duration_seconds`` budget the snapshot
+        phase first commits on its own through ``route``; when it overruns
+        the budget, that commit's result comes back instead."""
         cfg = self.cfg
+        mode = cfg.snapshot_mode
         parent = self.ckpt.restore()
-        ledger = self.ckpt.ledger() if parent else {}
-        prior_paths = self.ckpt.bucket_paths() if parent else {}
-        version = (int(parent["version"]) + 1) if parent else 1
-
-        if _pre_applied is not None:
-            # pipelined-segment path: projection/pre-reduce already ran
-            # (run_segments_pipelined) under the checkpoint-time registry
-            # snapshot; ledger safety holds because BucketMerge re-checks
-            # the ledger per bucket (defense-in-depth, §7.4 #1)
-            reg = (
-                SchemaRegistry.from_snapshot(parent["schema"])
-                if (parent or {}).get("schema")
-                else SchemaRegistry([])
+        if parent is not None or mode not in _SNAPSHOT_MODES:
+            snapshot = None  # resuming, or a mode that never snapshots
+        metrics: dict = {}
+        snapshot_seen = 0
+        if (
+            snapshot is not None
+            and cfg.max_snapshot_duration_seconds is not None
+            and mode != SnapshotMode.INITIAL_ONLY
+        ):
+            # snapshot wall budget (maxSnapshotDuration,
+            # AbstractDebeziumTask.java:218-233): the snapshot phase
+            # runs as its OWN atomic commit; if it overruns the soft
+            # budget, the capture stops before the streaming phase —
+            # the committed snapshot state resumes on the next run.
+            sub = copy.copy(self)
+            sub.cfg = replace(
+                cfg,
+                snapshot_mode=SnapshotMode.NEVER,
+                max_snapshot_duration_seconds=None,
+                max_records=None,  # snapshot is exempt from maxRecords
             )
-            return self._merge_commit(
-                _pre_applied, reg, version, parent, ledger, prior_paths,
-                t0, 0.0,
-            )
+            t_snap = time.monotonic()
+            snap_res = sub._apply(snapshot, route, ddl_source=False)
+            snap_elapsed = time.monotonic() - t_snap
+            metrics["snapshot_seconds"] = round(snap_elapsed, 3)
+            if snap_elapsed > cfg.max_snapshot_duration_seconds:
+                snap_res.stopped_reason = "max_snapshot_duration"
+                snap_res.metrics.update(metrics)
+                return snap_res
+            metrics["snapshot_events"] = snapshot_seen = snap_res.events_seen
+            parent, snapshot = self.ckpt.restore(), None
 
-        # schema-history replay over the tiny DDL sub-stream (ST3)
-        base_fields = [
+        t_registry = time.monotonic()
+        prior = (parent or {}).get("schema")
+        base_fields = [] if prior else [
             (f.name, str(f.type))
             for f in payload_fields_of(_env_schema(envelopes))
         ]
         if ddl_source is False:
-            reg = SchemaRegistry.from_snapshot((parent or {}).get("schema")) \
-                if (parent or {}).get("schema") else SchemaRegistry(base_fields)
+            reg = (SchemaRegistry.from_snapshot(prior) if prior
+                   else SchemaRegistry(base_fields))
         else:
             reg = registry_from_envelopes(
                 ddl_source if ddl_source is not None else envelopes,
                 base_fields,
-                prior_snapshot=(parent or {}).get("schema"),
+                prior_snapshot=prior,
                 max_lsn=cfg.max_lsn,
             )
-        t_registry = time.monotonic() - t0
-        renames, added = reg.rename_map(), reg.added_columns()
+        metrics["registry_seconds"] = round(time.monotonic() - t_registry, 3)
 
         ds = envelopes
         if cfg.max_records is not None:
             # soft record bound — post-snapshot only, like
             # AbstractDebeziumTask.java:617-621 (snapshot joins below it)
             ds = ds.limit(cfg.max_records)
-        mode = cfg.snapshot_mode
-        if snapshot is not None and parent is None and mode in (
-            SnapshotMode.INITIAL,
-            SnapshotMode.ALWAYS,
-            SnapshotMode.WHEN_NEEDED,
-            SnapshotMode.INITIAL_ONLY,
-        ):
-            if (
-                cfg.max_snapshot_duration_seconds is not None
-                and mode != SnapshotMode.INITIAL_ONLY
-            ):
-                # snapshot wall budget (maxSnapshotDuration,
-                # AbstractDebeziumTask.java:218-233): the snapshot phase
-                # runs as its OWN atomic commit; if it overruns the soft
-                # budget, the capture stops before the streaming phase —
-                # the committed snapshot state resumes on the next run.
-                from dataclasses import replace
-
-                snap_cfg = replace(
-                    cfg,
-                    snapshot_mode=SnapshotMode.NEVER,
-                    max_snapshot_duration_seconds=None,
-                    max_records=None,  # snapshot is exempt from maxRecords
-                )
-                sub = ReplayJob(
-                    snap_cfg,
-                    self.table_dir,
-                    connector_id=self.connector_id,
-                    fingerprint_col=self.fingerprint_col,
-                )
-                t_snap = time.monotonic()
-                snap_res = sub.run(snapshot, ddl_source=False)
-                snap_elapsed = time.monotonic() - t_snap
-                if snap_elapsed > cfg.max_snapshot_duration_seconds:
-                    snap_res.stopped_reason = "max_snapshot_duration"
-                    snap_res.metrics["snapshot_seconds"] = round(snap_elapsed, 3)
-                    return snap_res
-                res = self.run(envelopes, snapshot=None, ddl_source=ddl_source)
-                res.events_seen += snap_res.events_seen
-                res.metrics["snapshot_events"] = snap_res.events_seen
-                res.metrics["snapshot_seconds"] = round(snap_elapsed, 3)
-                return res
+        if snapshot is not None:
             ds = snapshot if mode == SnapshotMode.INITIAL_ONLY else snapshot.union(ds)
         if mode == SnapshotMode.NO_DATA:
-            # schema-only: commit the registry snapshot, apply nothing
-            manifest = build_manifest(
-                version=version,
-                connector_id=self.connector_id,
-                stats_rows=[],
-                parent=parent,
-                schema_snapshot=reg.snapshot(),
-            )
-            mpath = self.ckpt.save(manifest)
-            return ReplayResult(version, 0, 0, 0, mpath, self.table_dir,
-                                time.monotonic() - t0)
-
-        proj = project_for_apply(
-            cfg.key_cols,
-            cfg.num_buckets,
-            ledger=ledger,
-            max_lsn=cfg.max_lsn,
-            renames=renames,
-            added_columns=added,
-        )
-        applied = ds.map_batches(
-            proj, batch_format="pyarrow", batch_size=cfg.batch_size
-        )
-        return self._merge_commit(
-            applied, reg, version, parent, ledger, prior_paths, t0, t_registry
-        )
-
-    def _merge_commit(
-        self,
-        applied: "ray.data.Dataset",
-        reg: SchemaRegistry,
-        version: int,
-        parent: dict | None,
-        ledger: dict,
-        prior_paths: dict,
-        t0: float,
-        t_registry: float,
-    ) -> ReplayResult:
-        """The shuffle+merge+commit tail of one capture: ONE hash
-        shuffle (groupby bucket), per-bucket merge into prior state,
-        atomic manifest commit."""
-        cfg = self.cfg
-        data_dir = os.path.join(self.table_dir, "data")
-        merge = BucketMerge(
-            cfg.key_cols,
-            data_dir,
-            f"v{version:06d}",
-            prior_paths=prior_paths,
-            prior_fingerprints=self.ckpt.bucket_fingerprints() if parent else {},
-            ledger=ledger,
+            ds = None  # schema-only: commit the registry snapshot, apply nothing
+        return _Prepared(
+            cfg=cfg,
+            parent=parent,
+            ledger=self.ckpt.ledger() if parent else {},
+            prior_paths=self.ckpt.bucket_paths() if parent else {},
+            prior_fps=self.ckpt.bucket_fingerprints() if parent else {},
+            version=(int(parent["version"]) + 1) if parent else 1,
+            reg=reg,
+            ds=ds,
+            data_dir=os.path.join(self.table_dir, "data"),
             fingerprint_col=self.fingerprint_col,
-            renames=reg.rename_map(),
+            metrics=metrics,
+            snapshot_seen=snapshot_seen,
         )
-        def merge_bucket(group: pa.Table) -> pa.Table:
-            return merge(group)
 
-        t_apply0 = time.monotonic()
-        merge_kw = {}
-        if cfg.apply_concurrency is not None:
-            # cap the merge stage's task slots so it never starves the
-            # read/decode stages (the pool-sizing rule of the Ray guide)
-            merge_kw["concurrency"] = cfg.apply_concurrency
-        stats = applied.groupby(BUCKET_COL).map_groups(
-            merge_bucket, batch_format="pyarrow", **merge_kw
-        )
-        from plugin_debezium_ray.smallfetch import fetch_small_rows
-
-        stats_rows = fetch_small_rows(stats)  # ≤ num_buckets tiny rows
-
+    def _commit(
+        self, prep: "_Prepared", stats_rows: list[dict], metrics: dict, t0: float
+    ) -> ReplayResult:
+        """Fold the routed stats rows into the next manifest and commit
+        it atomically — the one manifest write of every entry point."""
         manifest = build_manifest(
-            version=version,
+            version=prep.version,
             connector_id=self.connector_id,
             stats_rows=stats_rows,
-            parent=parent,
-            schema_snapshot=reg.snapshot(),
+            parent=prep.parent,
+            schema_snapshot=prep.reg.snapshot(),
             extra_metrics={
                 "wall_seconds": time.monotonic() - t0,
-                "registry_seconds": round(t_registry, 3),
-                "apply_wall_seconds": round(time.monotonic() - t_apply0, 3),
+                **prep.metrics,
+                **metrics,
             },
         )
         mpath = self.ckpt.save(manifest)
+        m = manifest["metrics"]
         return ReplayResult(
-            version,
-            int(manifest["metrics"]["events_applied"]),
-            int(manifest["metrics"]["events_seen"]),
-            int(manifest["metrics"]["buckets_touched"]),
+            prep.version,
+            int(m["events_applied"]),
+            int(m["events_seen"]) + prep.snapshot_seen,
+            int(m["buckets_touched"]),
             mpath,
             self.table_dir,
             time.monotonic() - t0,
-            metrics=manifest["metrics"],
+            metrics=m,
         )
 
     def run_source(self, source, **kw) -> ReplayResult:
@@ -382,11 +436,17 @@ class ReplayJob:
         older segment AFTER a newer one would filter the older events as
         already-applied.  Within one group, any order is fine (the merge
         sorts by (lsn, seq) per key)."""
+        return self._cadence(segment_groups, lambda ds: self.run(ds, **kw))
+
+    def _cadence(self, segment_groups: list, commit) -> list[ReplayResult]:
+        """The commit cadence of both routes' segment entry points:
+        ``commit(ds)`` once over the union under ON_STOP, once per group
+        under ON_EACH_BATCH."""
         if self.cfg.offset_commit_mode == OffsetCommitMode.ON_STOP:
             ds = segment_groups[0]
             for other in segment_groups[1:]:
                 ds = ds.union(other)
-            return [self.run(ds, **kw)]
+            return [commit(ds)]
         # ON_EACH_BATCH honors the soft wall budget between commits —
         # the maxDuration stop condition (AbstractDebeziumTask.java:611-634);
         # a later run resumes from the committed ledger.
@@ -399,72 +459,8 @@ class ReplayJob:
                 and time.monotonic() - t0 >= self.cfg.max_duration_seconds
             ):
                 break
-            out.append(self.run(g, **kw))
+            out.append(commit(g))
         return out
-
-    def run_segments_pipelined(
-        self,
-        segment_groups: list["ray.data.Dataset"],
-        *,
-        snapshot: "ray.data.Dataset | None" = None,
-        prepare_ahead: int = 2,
-    ) -> list[ReplayResult]:
-        """Software-pipelined ON_EACH_BATCH replay: the decode+pre-reduce
-        of segment N+1 runs (materializes) WHILE segment N's shuffle+
-        merge+commit executes — hiding the map phase behind the reduce
-        phase, smoothing the utilization dip at the sort barrier that a
-        monolithic run shows.
-
-        Preconditions (same log-tail contract as ``run_segments`` plus
-        one): segments are disjoint ascending LSN ranges, and the stream
-        carries NO DDL (segment N's schema changes can't influence the
-        already-running decode of N+1 — pass DDL-bearing streams through
-        ``run_segments`` instead).  Ledger idempotence still holds: the
-        merge stage re-checks the per-bucket high-water mark even though
-        the early decode skipped the upstream ledger pre-filter."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        cfg = self.cfg
-        parent = self.ckpt.restore()
-        if (parent or {}).get("schema"):
-            reg = SchemaRegistry.from_snapshot(parent["schema"])
-        else:
-            base_fields = [
-                (f.name, str(f.type))
-                for f in payload_fields_of(_env_schema(segment_groups[0]))
-            ]
-            reg = SchemaRegistry(base_fields)
-        proj = project_for_apply(
-            cfg.key_cols,
-            cfg.num_buckets,
-            ledger=self.ckpt.ledger() if parent else {},
-            max_lsn=cfg.max_lsn,
-            renames=reg.rename_map(),
-            added_columns=reg.added_columns(),
-        )
-
-        def prepare(g: "ray.data.Dataset") -> "ray.data.Dataset":
-            return g.map_batches(
-                proj, batch_format="pyarrow", batch_size=cfg.batch_size
-            ).materialize()
-
-        groups: list["ray.data.Dataset"] = list(segment_groups)
-        if snapshot is not None and parent is None:
-            groups = [snapshot, *groups]
-
-        results: list[ReplayResult] = []
-        with ThreadPoolExecutor(max_workers=max(1, prepare_ahead)) as pool:
-            futs = {
-                i: pool.submit(prepare, groups[i])
-                for i in range(min(prepare_ahead, len(groups)))
-            }
-            for i in range(len(groups)):
-                prepared = futs.pop(i).result()
-                nxt = i + prepare_ahead
-                if nxt < len(groups):
-                    futs[nxt] = pool.submit(prepare, groups[nxt])
-                results.append(self.run(None, _pre_applied=prepared))
-        return results
 
     def run_streaming(
         self,
@@ -493,10 +489,10 @@ class ReplayJob:
     def run_streaming_segments(
         self, segments: "list", **kw
     ) -> "list[ReplayResult]":
-        """ON_EACH_BATCH commit cadence on the streaming engine: all
-        segments flow through ONE long-lived shard pool, one atomic
-        manifest commit per segment (the multi-commit soak surface —
-        see ``pipelines/streaming_apply.run_streaming_segments``)."""
+        """``run_segments`` on the push route: all segments flow through
+        ONE long-lived shard pool under the same commit cadence (the
+        multi-commit soak surface — see
+        ``pipelines/streaming_apply.run_streaming_segments``)."""
         from plugin_debezium_ray.pipelines.streaming_apply import (
             run_streaming_segments,
         )
@@ -743,8 +739,7 @@ class ReplayJob:
         if streaming:
             session_kw = {
                 k: run_kw.pop(k)
-                for k in ("num_shards", "decode_concurrency",
-                          "compact_rows", "ddl_source")
+                for k in ("num_shards", "compact_rows", "ddl_source")
                 if k in run_kw
             }
             session = self.streaming_session(**session_kw)

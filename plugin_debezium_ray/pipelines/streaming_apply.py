@@ -1,11 +1,12 @@
-"""Streaming actor-pool apply — the barrier-free merge path.
+"""Streaming actor-pool apply — the push route of the apply core.
 
-The default apply (`ReplayJob.run`) routes events to buckets with ONE
-sort-based ``groupby`` — correct and spill-friendly, but the sort is a
-barrier: no merge work starts until every decode task finishes, and
+Every commit runs ``ReplayJob._apply``: prepare → route → commit
+(``pipelines/replay.py``).  The sort route sends events to buckets with
+ONE sort-based ``groupby`` — correct and spill-friendly, but the sort is
+a barrier: no merge work starts until every decode task finishes, and
 utilization dips at every commit boundary.
 
-This module implements the architecture SURVEY.md §7.1 sketches
+This module is the other route, the architecture SURVEY.md §7.1 sketches
 directly: a pool of ``MergeShard`` **actors**, each owning a contiguous
 bucket range.  Decode tasks (plain ``map_batches``) pre-reduce their
 batch and push each shard's slice to it **as the stream flows** — no
@@ -21,7 +22,14 @@ share of the stream).
 
 Finalize reuses ``BucketMerge`` per bucket — identical deterministic
 bucket files, fingerprints and manifest as the sort path, so resume /
-rerun / read_table are interchangeable between the two paths.
+rerun / read_table are interchangeable between the two paths.  The
+restore, schema replay, stop and snapshot rules and the manifest commit
+around the route are the shared ``_prepare`` / ``_commit``.
+
+``StreamingSession`` owns one pool across commits (``apply_segment`` per
+commit); ``run_streaming`` is a one-shot session and
+``run_streaming_segments`` runs a session under ``run_segments``' commit
+cadence.
 
 At cluster scale each shard is one actor (pin ``num_shards`` ≈ total
 cores; Ray spreads them across nodes); backpressure comes from decode
@@ -30,7 +38,7 @@ tasks awaiting their pushes before finishing a batch.
 
 from __future__ import annotations
 
-import os
+import functools
 import time
 
 import numpy as np
@@ -47,9 +55,7 @@ from plugin_debezium_ray.stages.apply import (
     BucketMerge,
     _composite_key,
     _winners_and_weights,
-    project_for_apply,
 )
-from plugin_debezium_ray.state.checkpoint import build_manifest
 
 
 # per-lane seed constants (golden-ratio / xxhash-prime style odd values):
@@ -107,8 +113,8 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
     batch, slice it by owning shard (one stable argsort + searchsorted),
     and push each slice with its content-addressed id; the task completes
     only after every push is owned by its shard (backpressure + retry
-    safety).  Used by ``run_streaming``, ``run_streaming_segments`` and
-    the multi-table single pass."""
+    safety).  Used by the session's push route and the multi-table
+    streaming pass."""
 
     def decode_and_push(t: pa.Table) -> pa.Table:
         out = proj(t)
@@ -232,6 +238,33 @@ class MergeShard:
         self.tables = [out]
         self.buffered = len(out)
 
+
+    def _drain(self) -> pa.Table | None:
+        """Take every buffered row at a commit boundary: the caller's
+        decode barrier has completed, so no push of this segment can
+        retry — the dedup set restarts (bounds seen_pushes for long
+        multi-commit sessions) and the events_seen counter rolls over to
+        per-segment accounting.  The pool may live on across commits."""
+        self.seen_pushes.clear()
+        self.events_seen = 0
+        if not self.tables:
+            return None
+        merged = pa.concat_tables(self.tables, promote_options="default")
+        self.tables = []
+        self.buffered = 0
+        return merged
+
+    def _merge_buckets(self, t: pa.Table, merge_kw: dict) -> list[dict]:
+        """``BucketMerge`` each bucket of ``t`` (per-bucket merge +
+        deterministic file); returns the stats rows."""
+        bm = BucketMerge(self.key_cols, **merge_kw)
+        buckets = t[BUCKET_COL].to_numpy()
+        rows: list[dict] = []
+        for b in np.unique(buckets):
+            stats = bm(t.filter(pa.array(buckets == b)))
+            rows.append({c: stats[c][0].as_py() for c in stats.column_names})
+        return rows
+
     def finalize(
         self,
         out_dir: str,
@@ -245,81 +278,50 @@ class MergeShard:
     ) -> list[dict]:
         """Merge each owned bucket with prior state, write bucket files,
         return the stats rows (same schema as the sort path)."""
-        # commit boundary: the caller's decode barrier has completed, so
-        # no push of this segment can retry — the dedup set restarts
-        # (bounds seen_pushes for long multi-commit sessions) and the
-        # events_seen counter rolls over to per-segment accounting
-        self.seen_pushes.clear()
-        self.events_seen = 0
-        if not self.tables:
+        merged = self._drain()
+        if merged is None:
             return []
-        merged = pa.concat_tables(self.tables, promote_options="default")
-        self.tables = []
-        self.buffered = 0  # pool may live on across commits (soak runs)
-        bm = BucketMerge(
-            self.key_cols,
-            out_dir,
-            commit_id,
+        return self._merge_buckets(merged, dict(
+            out_dir=out_dir,
+            commit_id=commit_id,
             prior_paths=prior_paths,
             prior_fingerprints=prior_fingerprints,
             ledger=ledger,
             fingerprint_col=fingerprint_col,
             renames=renames,
-        )
-        buckets = merged[BUCKET_COL].to_numpy()
-        stats_rows: list[dict] = []
-        for b in np.unique(buckets):
-            group = merged.filter(pa.array(buckets == b))
-            stats = bm(group)  # per-bucket merge + deterministic file
-            stats_rows.append(
-                {c: stats[c][0].as_py() for c in stats.column_names}
-            )
-        return stats_rows
+        ))
 
-    def finalize_multi(
-        self,
-        per_stream: dict[str, dict],
-        *,
-        fingerprint_col: str | None,
-    ) -> list[dict]:
+    def finalize_multi(self, per_stream: dict[str, dict]) -> list[dict]:
         """Multi-table finalize: group owned rows by (stream, bucket)
-        and merge each into ITS stream's lake (per-stream out_dir /
-        commit / prior state / ledger — the per-table topic model).
-        Returns stats rows tagged with ``stream``."""
-        self.seen_pushes.clear()  # same commit-boundary bound as finalize
-        self.events_seen = 0
-        if not self.tables or self.stream_col is None:
+        and merge each into ITS stream's lake — ``per_stream`` maps a
+        stream to its ``BucketMerge`` arguments (the per-table topic
+        model).  Returns stats rows tagged with ``stream``."""
+        merged = self._drain()
+        if merged is None or self.stream_col is None:
             return []
-        merged = pa.concat_tables(self.tables, promote_options="default")
-        self.tables = []
-        self.buffered = 0
         streams = merged[self.stream_col].combine_chunks().to_numpy(
             zero_copy_only=False
         )
         stats_rows: list[dict] = []
         for stream in np.unique(streams):
-            cfg = per_stream.get(str(stream))
-            if cfg is None:
+            merge_kw = per_stream.get(str(stream))
+            if merge_kw is None:
                 continue
             sub = merged.filter(pa.array(streams == stream)).drop_columns(
                 [self.stream_col]
             )
-            bm = BucketMerge(
-                self.key_cols,
-                cfg["out_dir"],
-                cfg["commit_id"],
-                prior_paths=cfg["prior_paths"],
-                prior_fingerprints=cfg["prior_fingerprints"],
-                ledger=cfg["ledger"],
-                fingerprint_col=fingerprint_col,
-            )
-            buckets = sub[BUCKET_COL].to_numpy()
-            for b in np.unique(buckets):
-                stats = bm(sub.filter(pa.array(buckets == b)))
-                row = {c: stats[c][0].as_py() for c in stats.column_names}
-                row["stream"] = str(stream)
-                stats_rows.append(row)
+            stats_rows += [
+                {**row, "stream": str(stream)}
+                for row in self._merge_buckets(sub, merge_kw)
+            ]
         return stats_rows
+
+
+#: below this many events ``run_streaming`` takes the sort route: the
+#: shard-actor startup and the two ``ray.get`` barriers dominate tiny
+#: inputs (measured 1.59 s vs 0.90 s on a 120-row final table), while
+#: the push route wins 8.7× at 50M events
+SMALL_JOB_EVENTS = 500_000
 
 
 def run_streaming(
@@ -329,85 +331,30 @@ def run_streaming(
     snapshot: "ray.data.Dataset | None" = None,
     ddl_source: "ray.data.Dataset | bool | None" = False,
     num_shards: int | None = None,
-    decode_concurrency: int | None = None,
     compact_rows: int = 400_000,
     estimated_events: int | None = None,
-    small_job_threshold: int = 500_000,
 ) -> "object":
-    """Barrier-free replay: decode tasks push pre-reduced slices to the
-    shard actors while the stream flows; ONE atomic commit at the end.
+    """Barrier-free replay, a one-shot ``StreamingSession``: decode tasks
+    push pre-reduced slices to the shard actors while the stream flows;
+    ONE atomic commit at the end.
 
-    ``job`` is a ``ReplayJob`` (layout / checkpoint / config reuse); the
-    result is a ``ReplayResult`` interchangeable with ``job.run(...)``.
-
-    ``ddl_source`` mirrors ``ReplayJob.run``: a column-pruned Dataset to
-    replay schema-history DDL from BEFORE the stream applies (ST3);
-    ``False`` (default) skips the scan for DDL-free sources; ``None``
-    derives from ``envelopes`` (un-pruned — prefer passing the pruned
-    read).
+    ``job`` is a ``ReplayJob``; the result is a ``ReplayResult``
+    interchangeable with ``job.run(...)``, and ``snapshot`` /
+    ``ddl_source`` mean the same as there, except that ``ddl_source``
+    defaults to ``False`` (no DDL scan).
 
     ``estimated_events``: a cheap caller-side size hint (parquet
     metadata row count — NOT ``ds.count()``, which would execute a
-    transformed pipeline twice).  Below ``small_job_threshold`` the job
-    delegates to the sort-path ``job.run`` — the shard-actor startup and
-    the two ``ray.get`` barriers dominate tiny inputs (measured 1.59 s
-    vs 0.90 s on a 120-row final table), while the streaming engine wins
-    8.7× at 50M events.  Identical lake layout either way."""
-    if (
-        estimated_events is not None
-        and estimated_events < small_job_threshold
-    ):
+    transformed pipeline twice).  Below ``SMALL_JOB_EVENTS`` the job
+    delegates to the sort route — identical lake layout either way."""
+    if estimated_events is not None and estimated_events < SMALL_JOB_EVENTS:
         return job.run(envelopes, snapshot=snapshot, ddl_source=ddl_source)
-    from plugin_debezium_ray.pipelines.replay import ReplayResult
-    from plugin_debezium_ray.state.schema_registry import (
-        SchemaRegistry,
-        registry_from_envelopes,
-    )
-    from plugin_debezium_ray.envelope import payload_fields_of
-
-    t0 = time.monotonic()
-    cfg: CaptureConfig = job.cfg
-    ckpt = job.ckpt
-    parent = ckpt.restore()
-    ledger = ckpt.ledger() if parent else {}
-    prior_paths = ckpt.bucket_paths() if parent else {}
-    prior_fps = ckpt.bucket_fingerprints() if parent else {}
-    version = (int(parent["version"]) + 1) if parent else 1
-
-    sch = envelopes.schema()
-    fields = pa.schema([pa.field(n, t) for n, t in zip(sch.names, sch.types)])
-    base_fields = [(f.name, str(f.type)) for f in payload_fields_of(fields)]
-    if ddl_source is False:
-        reg = (
-            SchemaRegistry.from_snapshot(parent["schema"])
-            if (parent or {}).get("schema")
-            else SchemaRegistry(base_fields)
+    with StreamingSession(
+        job, num_shards=num_shards, compact_rows=compact_rows
+    ) as session:
+        return job._apply(
+            envelopes, session._push, snapshot=snapshot, ddl_source=ddl_source
         )
-    else:
-        reg = registry_from_envelopes(
-            ddl_source if ddl_source is not None else envelopes,
-            base_fields,
-            prior_snapshot=(parent or {}).get("schema"),
-            max_lsn=cfg.max_lsn,
-        )
-
-    shards, shard_of = _make_shard_pool(cfg, num_shards, compact_rows)
-
-    ds = envelopes
-    if cfg.max_records is not None:
-        ds = ds.limit(cfg.max_records)
-    if snapshot is not None and parent is None:
-        ds = snapshot.union(ds)
-    try:
-        return _stream_one_commit(
-            job, shards, shard_of, ds, reg,
-            parent=parent, ledger=ledger, prior_paths=prior_paths,
-            prior_fps=prior_fps, version=version,
-            decode_concurrency=decode_concurrency, t0=t0,
-        )
-    finally:
-        for s in shards:
-            ray.kill(s)
 
 
 def _make_shard_pool(
@@ -415,7 +362,7 @@ def _make_shard_pool(
     stream_col: str | None = None,
 ):
     """The MergeShard pool + bucket→shard routing table (shared by
-    ``run_streaming`` and ``run_streaming_segments``)."""
+    ``StreamingSession`` and the multi-table streaming pass)."""
     cpus = int(ray.cluster_resources().get("CPU", 8))
     if num_shards is None:
         num_shards = max(2, min(cfg.num_buckets, cpus))
@@ -434,103 +381,6 @@ def _make_shard_pool(
         for lo in range(0, cfg.num_buckets, per)
     ]
     return shards, np.arange(cfg.num_buckets) // per
-
-
-def _stream_one_commit(
-    job,
-    shards: list,
-    shard_of: np.ndarray,
-    seg: "ray.data.Dataset",
-    reg,
-    *,
-    parent: dict | None,
-    ledger: dict,
-    prior_paths: dict,
-    prior_fps: dict,
-    version: int,
-    decode_concurrency: int | None,
-    t0: float | None = None,
-    extra_metrics: dict | None = None,
-) -> "object":
-    """Drive ONE segment through the shard pool and commit atomically:
-    decode+push stream → per-shard finalize → manifest save.  The single
-    per-commit engine behind both streaming entry points (the pool
-    outlives the call; the caller owns its lifecycle)."""
-    from plugin_debezium_ray.pipelines.replay import ReplayResult
-
-    cfg: CaptureConfig = job.cfg
-    if t0 is None:
-        t0 = time.monotonic()
-    proj = project_for_apply(
-        cfg.key_cols,
-        cfg.num_buckets,
-        ledger=ledger,
-        max_lsn=cfg.max_lsn,
-        renames=reg.rename_map(),
-        added_columns=reg.added_columns(),
-    )
-    decode_and_push = make_decode_push(proj, shards, shard_of)
-    map_kw = {}
-    if decode_concurrency is not None:
-        map_kw["concurrency"] = decode_concurrency
-    t_decode = time.monotonic()
-    seg.map_batches(
-        decode_and_push, batch_format="pyarrow", batch_size=cfg.batch_size,
-        **map_kw,
-    ).sum("n")  # drives the stream; returns one scalar
-    decode_seconds = time.monotonic() - t_decode
-
-    data_dir = os.path.join(job.table_dir, "data")
-    commit_id = f"v{version:06d}"
-    t_final = time.monotonic()
-    stats_refs = [
-        s.finalize.remote(
-            data_dir,
-            commit_id,
-            prior_paths=prior_paths,
-            prior_fingerprints=prior_fps,
-            ledger=ledger,
-            fingerprint_col=job.fingerprint_col,
-            renames=reg.rename_map(),
-        )
-        for s in shards
-    ]
-    stats_rows = [r for rows in ray.get(stats_refs) for r in rows]
-    finalize_seconds = time.monotonic() - t_final
-    # placement lineage: distinct Ray nodes hosting the shard pool (the
-    # SPREAD strategy's multi-node evidence, recorded per commit)
-    shard_nodes = len(set(ray.get([s.node_id.remote() for s in shards])))
-
-    manifest = build_manifest(
-        version=version,
-        connector_id=job.connector_id,
-        stats_rows=stats_rows,
-        parent=parent,
-        schema_snapshot=reg.snapshot(),
-        extra_metrics={
-            "wall_seconds": time.monotonic() - t0,
-            # phase latencies (per-commit lineage): stream-drive vs
-            # shard finalize — small jobs are finalize/startup-bound,
-            # large jobs decode-bound
-            "decode_seconds": round(decode_seconds, 4),
-            "finalize_seconds": round(finalize_seconds, 4),
-            "streaming_apply": True,
-            "num_shards": len(shards),
-            "shard_nodes": shard_nodes,
-            **(extra_metrics or {}),
-        },
-    )
-    mpath = job.ckpt.save(manifest)
-    return ReplayResult(
-        version,
-        int(manifest["metrics"]["events_applied"]),
-        int(manifest["metrics"]["events_seen"]),
-        int(manifest["metrics"]["buckets_touched"]),
-        mpath,
-        job.table_dir,
-        time.monotonic() - t0,
-        metrics=manifest["metrics"],
-    )
 
 
 class StreamingSession:
@@ -553,79 +403,70 @@ class StreamingSession:
     is identical to N separate ``run_streaming`` calls (and to the sort
     path) — same lake bytes, same manifest-chain semantics.
 
-    Per-commit work is the SAME engine as ``run_streaming``
-    (``_stream_one_commit``) — only the pool lifecycle and the
-    per-segment checkpoint restore differ.  Use as a context manager
-    (``close()`` kills the shard actors)."""
+    Each commit is the shared apply core (``ReplayJob._apply``) with the
+    session's push route, so ``max_records`` and ``snapshot_mode`` hold
+    as on the sort route.  Use as a context manager (``close()`` kills
+    the shard actors)."""
 
     def __init__(
         self,
         job,
         *,
         num_shards: int | None = None,
-        decode_concurrency: int | None = None,
         compact_rows: int = 400_000,
         ddl_source: "bool | None" = False,
     ):
         self.job = job
-        self.cfg: CaptureConfig = job.cfg
-        self.ckpt = job.ckpt
-        self.decode_concurrency = decode_concurrency
         self.ddl_source = ddl_source
         self.shards, self.shard_of = _make_shard_pool(
-            self.cfg, num_shards, compact_rows
+            job.cfg, num_shards, compact_rows
         )
         self.commits = 0
         self._closed = False
+        # asked once at pool start (shards never move), read at the
+        # first commit so actor start-up overlaps that commit's stream
+        self._node_refs = [s.node_id.remote() for s in self.shards]
+
+    @functools.cached_property
+    def shard_nodes(self) -> int:
+        """Placement lineage: distinct Ray nodes hosting the pool (the
+        SPREAD strategy's multi-node evidence)."""
+        return len(set(ray.get(self._node_refs)))
 
     def apply_segment(self, seg) -> "object":
         """Stream one WAL segment through the live pool and commit it
         atomically; returns that commit's ``ReplayResult``."""
         if self._closed:
             raise RuntimeError("StreamingSession is closed")
-        from plugin_debezium_ray.state.schema_registry import (
-            SchemaRegistry,
-            registry_from_envelopes,
-        )
-        from plugin_debezium_ray.envelope import payload_fields_of
-
-        cfg, ckpt = self.cfg, self.ckpt
-        parent = ckpt.restore()
-        ledger = ckpt.ledger() if parent else {}
-        prior_paths = ckpt.bucket_paths() if parent else {}
-        prior_fps = ckpt.bucket_fingerprints() if parent else {}
-        version = (int(parent["version"]) + 1) if parent else 1
-
-        sch = seg.schema()
-        fields = pa.schema(
-            [pa.field(n, t) for n, t in zip(sch.names, sch.types)]
-        )
-        base_fields = [
-            (f.name, str(f.type)) for f in payload_fields_of(fields)
-        ]
-        if self.ddl_source is False:
-            reg = (
-                SchemaRegistry.from_snapshot(parent["schema"])
-                if (parent or {}).get("schema")
-                else SchemaRegistry(base_fields)
-            )
-        else:
-            # replay this segment's DDL sub-stream into the registry
-            # BEFORE its data applies (per-segment schema evolution)
-            reg = registry_from_envelopes(
-                seg,
-                base_fields,
-                prior_snapshot=(parent or {}).get("schema"),
-                max_lsn=cfg.max_lsn,
-            )
         self.commits += 1
-        return _stream_one_commit(
-            self.job, self.shards, self.shard_of, seg, reg,
-            parent=parent, ledger=ledger, prior_paths=prior_paths,
-            prior_fps=prior_fps, version=version,
-            decode_concurrency=self.decode_concurrency,
-            extra_metrics={"streaming_session_commit": self.commits},
+        return self.job._apply(
+            seg,
+            self._push,
+            ddl_source=self.ddl_source,
+            metrics={"streaming_session_commit": self.commits},
         )
+
+    def _push(self, prep) -> tuple[list[dict], dict]:
+        """The push route: decode+push stream → per-shard finalize."""
+        t_decode = time.monotonic()
+        prep.ds.map_batches(
+            make_decode_push(prep.project(), self.shards, self.shard_of),
+            batch_format="pyarrow",
+            batch_size=prep.cfg.batch_size,
+        ).sum("n")  # drives the stream; returns one scalar
+        t_final = time.monotonic()
+        merge_kw = prep.merge_kw()
+        stats = ray.get([s.finalize.remote(**merge_kw) for s in self.shards])
+        return [r for rows in stats for r in rows], {
+            # phase latencies (per-commit lineage): stream-drive vs
+            # shard finalize — small jobs are finalize/startup-bound,
+            # large jobs decode-bound
+            "decode_seconds": round(t_final - t_decode, 4),
+            "finalize_seconds": round(time.monotonic() - t_final, 4),
+            "streaming_apply": True,
+            "num_shards": len(self.shards),
+            "shard_nodes": self.shard_nodes,
+        }
 
     def close(self) -> None:
         if not self._closed:
@@ -645,22 +486,17 @@ def run_streaming_segments(
     segments: "list",
     *,
     num_shards: int | None = None,
-    decode_concurrency: int | None = None,
     compact_rows: int = 400_000,
     ddl_source: "bool | None" = False,
 ) -> "list":
-    """ON_EACH_BATCH commit cadence on the streaming engine: N WAL
-    segments flow through ONE long-lived shard pool with an atomic
-    manifest commit after each segment (the reference's per-batch offset
-    commit, `AbstractDebeziumTask.java:640-693`, on the actor-pool path —
-    the sort/pipelined paths already had it via ``run_segments``).
-    Thin wrapper over ``StreamingSession`` for a segment list known
-    upfront."""
+    """``run_segments`` on the push route: the segments flow through ONE
+    long-lived shard pool under the same commit cadence — an atomic
+    manifest commit after each segment under ON_EACH_BATCH (the
+    reference's per-batch offset commit, `AbstractDebeziumTask.java:640-693`,
+    with the ``max_duration_seconds`` budget checked between commits),
+    one commit over the union under ON_STOP."""
     with StreamingSession(
-        job,
-        num_shards=num_shards,
-        decode_concurrency=decode_concurrency,
-        compact_rows=compact_rows,
+        job, num_shards=num_shards, compact_rows=compact_rows,
         ddl_source=ddl_source,
     ) as session:
-        return [session.apply_segment(seg) for seg in segments]
+        return job._cadence(segments, session.apply_segment)

@@ -236,17 +236,12 @@ def _ledger_filter(t: pa.Table, ledger: dict[int, tuple[int, int]]) -> pa.Table:
     return t.filter(pa.array(keep))
 
 
-def _winners_mask(key: np.ndarray, lsn: np.ndarray, seq: np.ndarray) -> np.ndarray:
-    """Indices of the max-(lsn,seq) row per key (pure numpy after a
-    single factorize pass — no object-dtype groupby in the hot path)."""
-    win, _ = _winners_and_weights(key, lsn, seq)
-    return win
-
-
 def _winners_and_weights(
     key: np.ndarray, lsn: np.ndarray, seq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Winner index per key plus the count of rows it subsumes.
+    """Winner index (the max-(lsn, seq) row) per key plus the count of
+    rows it subsumes — pure numpy after a single factorize pass, no
+    object-dtype groupby in the hot path.
 
     factorize → lexsort by (lsn, seq) → reversed-order np.unique gives
     the LAST occurrence per key code (= LWW winner), all vectorized."""
@@ -321,7 +316,9 @@ class BucketMerge:
 
         # final LWW dedup across batches
         key = _composite_key(group, self.key_cols)
-        win = _winners_mask(key, group["lsn"].to_numpy(), group["seq"].to_numpy())
+        win, _ = _winners_and_weights(
+            key, group["lsn"].to_numpy(), group["seq"].to_numpy()
+        )
         group = group.take(pa.array(win))
         key = key[win]
 

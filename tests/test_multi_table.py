@@ -60,42 +60,6 @@ class TestMultiTable:
         assert m["connector_id"] == "kestra_00000001"
 
 
-class TestSinglePass:
-    def test_single_pass_equals_per_stream(self, tmp_path):
-        from plugin_debezium_ray.pipelines.multi_table import (
-            replay_multi_table_single_pass,
-        )
-
-        cfg = CaptureConfig(key_cols=("id",), num_buckets=4)
-        ra = replay_multi_table(_mixed_env(), str(tmp_path / "a"), cfg)
-        rb = replay_multi_table_single_pass(
-            _mixed_env(), str(tmp_path / "b"), cfg, fingerprint_col="v"
-        )
-        assert {k: v.events_seen for k, v in ra.items()} == {
-            k: v.events_seen for k, v in rb.items()
-        }
-        for s in ra:
-            ta = (ReplayJob(cfg, str(tmp_path / "a" / s)).read_table()
-                  .to_pandas().sort_values("id").reset_index(drop=True))
-            tb = (ReplayJob(cfg, str(tmp_path / "b" / s)).read_table()
-                  .to_pandas().sort_values("id").reset_index(drop=True))
-            assert ta.equals(tb)
-
-    def test_single_pass_rerun_zero(self, tmp_path):
-        from plugin_debezium_ray.pipelines.multi_table import (
-            replay_multi_table_single_pass,
-        )
-
-        cfg = CaptureConfig(key_cols=("id",), num_buckets=4)
-        replay_multi_table_single_pass(
-            _mixed_env(), str(tmp_path), cfg, fingerprint_col="v"
-        )
-        again = replay_multi_table_single_pass(
-            _mixed_env(), str(tmp_path), cfg, fingerprint_col="v"
-        )
-        assert all(r.events_seen == 0 for r in again.values())
-
-
 class TestStreamingMultiTable:
     def test_streaming_equals_per_stream(self, tmp_path):
         from plugin_debezium_ray.pipelines.multi_table import (

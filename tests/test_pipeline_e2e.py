@@ -151,13 +151,22 @@ class TestStopConditions:
         assert sum(r.events_seen for r in rest) == 600
 
 
-class TestSnapshotModes:
-    def test_never_tail_only(self, tmp_path, env):
+class _SnapshotModeCases:
+    """The snapshot-mode rules, run through the entry point ``ENGINE``:
+    both routes share them (a snapshot is passed in every case)."""
+
+    ENGINE = "run"
+
+    def _apply(self, job, env, snap):
+        return getattr(job, self.ENGINE)(env, snapshot=snap)
+
+    def test_never_tail_only(self, tmp_path, env, snap):
         job = ReplayJob(
             CaptureConfig(num_buckets=8, snapshot_mode=SnapshotMode.NEVER),
             str(tmp_path),
         )
-        job.run(env)
+        res = self._apply(job, env, snap)  # NEVER ignores the snapshot
+        assert res.events_seen == N_EVENTS
         assert_parity(
             job, oracle_apply(N_EVENTS, N_KEYS, seed=SEED, include_snapshot=False)
         )
@@ -167,7 +176,7 @@ class TestSnapshotModes:
             CaptureConfig(num_buckets=8, snapshot_mode=SnapshotMode.INITIAL_ONLY),
             str(tmp_path),
         )
-        res = job.run(env, snapshot=snap)
+        res = self._apply(job, env, snap)
         assert res.events_seen == N_KEYS
         assert_parity(job, oracle_apply(0, N_KEYS, seed=SEED))
 
@@ -176,16 +185,22 @@ class TestSnapshotModes:
             CaptureConfig(num_buckets=8, snapshot_mode=SnapshotMode.NO_DATA),
             str(tmp_path),
         )
-        res = job.run(env, snapshot=snap)
+        res = self._apply(job, env, snap)
         assert res.events_seen == 0
         assert job.ckpt.restore()["schema"] is not None
         with pytest.raises(FileNotFoundError):
             job.read_table()
 
+
+class TestSnapshotModes(_SnapshotModeCases):
     def test_snapshot_mode_aliases(self):
         assert SnapshotMode.from_string("schema_only") is SnapshotMode.NO_DATA
         assert SnapshotMode.from_string("SCHEMA_ONLY_RECOVERY") is SnapshotMode.RECOVERY
         assert SnapshotMode.from_string("initial") is SnapshotMode.INITIAL
+
+
+class TestSnapshotModesPushRoute(_SnapshotModeCases):
+    ENGINE = "run_streaming"
 
 
 class TestSchemaEvolution:
@@ -250,13 +265,16 @@ class TestTriggerSurfaces:
 
     def test_max_records_soft_limit(self, tmp_path, snap):
         """maxRecords bounds the tail but NEVER the snapshot phase
-        (AbstractDebeziumTask.java:617-621)."""
+        (AbstractDebeziumTask.java:617-621); a streaming session bounds
+        each of its commits the same way."""
         env = binlog(N_EVENTS, N_KEYS, seed=SEED)
-        job = ReplayJob(
-            CaptureConfig(num_buckets=8, max_records=100), str(tmp_path)
-        )
+        cfg = CaptureConfig(num_buckets=8, max_records=100)
+        job = ReplayJob(cfg, str(tmp_path / "sort"))
         res = job.run(env, snapshot=snap)
         assert res.events_seen == N_KEYS + 100
+        session = ReplayJob(cfg, str(tmp_path / "push")).streaming_session()
+        with session:
+            assert session.apply_segment(env).events_seen == 100
 
 
 class TestLineageMetrics:

@@ -199,43 +199,11 @@ class TestMaxDurationSegments:
                 offset_commit_mode=OffsetCommitMode.ON_EACH_BATCH,
                 max_duration_seconds=0.0,
             ),
-            str(tmp_path),
+            str(tmp_path / "sort"),
         )
         out = job.run_segments(segs)
         assert len(out) == 1  # budget hit after the first commit
+        # the push route's segment entry point keeps the same budget
+        push = ReplayJob(job.cfg, str(tmp_path / "push"))
+        assert len(push.run_streaming_segments(segs)) == 1
 
-
-class TestPipelinedSegments:
-    def test_pipelined_matches_monolithic(self, tmp_path):
-        """run_segments_pipelined == one monolithic run: same final
-        table, same totals, rerun applies zero."""
-        import hashlib
-
-        segs = lambda: [binlog(400, 80, seed=SEED, base_lsn=1 + 400 * i)
-                        for i in range(3)]
-        union = segs()[0]
-        for s in segs()[1:]:
-            union = union.union(s)
-
-        a = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "a"))
-        a.run(union, snapshot=snapshot_envelopes(80, seed=SEED),
-              ddl_source=False)
-
-        b = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "b"))
-        out = b.run_segments_pipelined(
-            segs(), snapshot=snapshot_envelopes(80, seed=SEED)
-        )
-        assert len(out) == 4  # snapshot commit + 3 segment commits
-        assert sum(r.events_seen for r in out) == 3 * 400 + 80
-
-        def state(job):
-            return {
-                (r.repo, r.path): hashlib.sha256(r.content.encode()).hexdigest()
-                for r in job.read_table().to_pandas().itertuples()
-            }
-
-        assert state(a) == state(b)
-
-        # idempotent rerun of the same segments applies nothing
-        out2 = b.run_segments_pipelined(segs())
-        assert sum(r.events_seen for r in out2) == 0

@@ -9,7 +9,7 @@ import pytest
 
 import ray.data
 
-from plugin_debezium_ray.config import CaptureConfig
+from plugin_debezium_ray.config import CaptureConfig, OffsetCommitMode
 from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import (
     binlog,
@@ -58,19 +58,15 @@ class TestStreamingApply:
     def test_small_job_crossover_takes_sort_path(self, tmp_path):
         """An ``estimated_events`` hint below the threshold delegates to
         the sort path (shard-actor startup dominates tiny jobs — VERDICT
-        r2 #4); above it the streaming engine runs.  Same lake either
-        way."""
+        r2 #4); without a hint the streaming engine runs.  Same lake
+        either way."""
         a = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "a"))
         res_a = a.run_streaming(
             binlog(500, 60, seed=SEED), estimated_events=500
         )
         assert not res_a.metrics.get("streaming_apply")  # sort path ran
         b = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "b"))
-        res_b = b.run_streaming(
-            binlog(500, 60, seed=SEED),
-            estimated_events=500,
-            small_job_threshold=100,  # force the streaming engine
-        )
+        res_b = b.run_streaming(binlog(500, 60, seed=SEED))
         assert res_b.metrics.get("streaming_apply") is True
         assert _state(a) == _state(b)
         assert _bucket_hashes(a) == _bucket_hashes(b)
@@ -235,6 +231,9 @@ class TestStreamingSoak:
     segments through ONE shard pool, one atomic commit per segment —
     exercises seen_pushes growth and incremental compaction over time."""
 
+    #: one commit per segment (ON_STOP commits their union once)
+    CFG = dict(num_buckets=8, offset_commit_mode=OffsetCommitMode.ON_EACH_BATCH)
+
     def _segments(self, n=3):
         return [
             binlog(1200, 150, seed=SEED, base_lsn=1 + 10_000 * i)
@@ -242,9 +241,7 @@ class TestStreamingSoak:
         ]
 
     def test_three_commits_one_pool_parity_and_rerun_zero(self, tmp_path):
-        job = ReplayJob(
-            CaptureConfig(num_buckets=8), str(tmp_path / "soak")
-        )
+        job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "soak"))
         results = job.run_streaming_segments(
             self._segments(), compact_rows=500  # force real compactions
         )
@@ -289,7 +286,7 @@ class TestStreamingSoak:
             binlog(1200, 150, seed=SEED),
             binlog(1200, 150, seed=SEED, base_lsn=10_001).union(ddl),
         ]
-        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path))
+        job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path))
         results = job.run_streaming_segments(segs, ddl_source=None)
         assert [r.version for r in results] == [1, 2]
         tab = job.read_table().to_pandas()
@@ -300,13 +297,24 @@ class TestStreamingSoak:
     def test_session_state_matches_separate_runs(self, tmp_path):
         """State after N commits through one pool == N separate
         run_streaming calls (byte-identical bucket files)."""
-        a = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "a"))
+        a = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "a"))
         a.run_streaming_segments(self._segments())
         b = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "b"))
         for seg in self._segments():
             b.run_streaming(seg)
         assert _state(a) == _state(b)
         assert _bucket_hashes(a) == _bucket_hashes(b)
+
+    def test_on_stop_commits_the_union_once(self, tmp_path):
+        """Under ON_STOP the session commits once over the union, like
+        ``run_segments``; the state equals the per-segment cadence's."""
+        a = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "a"))
+        results = a.run_streaming_segments(self._segments())
+        assert [r.version for r in results] == [1]
+        assert results[0].events_seen == 3 * 1200
+        b = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "b"))
+        b.run_streaming_segments(self._segments())
+        assert _state(a) == _state(b)
 
 
 class TestShardLoss:
