@@ -1369,9 +1369,7 @@ def q_cdc_multi_table(sf_dir: str):
     (event_type as the table), final row count per table."""
     import pandas as pd
 
-    from plugin_debezium_ray.pipelines.multi_table import (
-        replay_multi_table_streaming,
-    )
+    from plugin_debezium_ray.pipelines.multi_table import replay_multi_table
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
@@ -1386,10 +1384,8 @@ def q_cdc_multi_table(sf_dir: str):
         table_col="event_type",
     )
     with tempfile.TemporaryDirectory(prefix="mt_", dir="/tmp") as d:
-        # streaming barrier-free single pass is the default (the scale
-        # layout); the per-stream loop remains the correctness
-        # cross-check in tests/test_multi_table.py
-        results = replay_multi_table_streaming(
+        # each stream is one filtered run through the apply core
+        results = replay_multi_table(
             env, d, CaptureConfig(key_cols=("user_id",), num_buckets=8)
         )
         rows = [

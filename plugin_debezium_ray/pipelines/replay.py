@@ -257,7 +257,7 @@ class ReplayJob:
         envelopes: "ray.data.Dataset",
         snapshot: "ray.data.Dataset | None",
         ddl_source: "ray.data.Dataset | bool | None",
-        route=None,
+        route,
     ) -> "_Prepared | ReplayResult":
         """Everything a commit decides before routing: restore the parent
         commit, replay schema history into the registry (ST3), and apply

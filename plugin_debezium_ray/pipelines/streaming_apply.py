@@ -30,6 +30,9 @@ around the route are the shared ``_prepare`` / ``_commit``.
 commit); ``run_streaming`` is a one-shot session and
 ``run_streaming_segments`` runs a session under ``run_segments``' commit
 cadence.
+The pool serves one lake: multi-table capture
+(``pipelines/multi_table.py``) runs each stream through the core on its
+own.
 
 At cluster scale each shard is one actor (pin ``num_shards`` ≈ total
 cores; Ray spreads them across nodes); backpressure comes from decode
@@ -113,8 +116,7 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
     batch, slice it by owning shard (one stable argsort + searchsorted),
     and push each slice with its content-addressed id; the task completes
     only after every push is owned by its shard (backpressure + retry
-    safety).  Used by the session's push route and the multi-table
-    streaming pass."""
+    safety).  The body of ``StreamingSession``'s push route."""
 
     def decode_and_push(t: pa.Table) -> pa.Table:
         out = proj(t)
@@ -150,8 +152,7 @@ class MergeShard:
     same ``BucketMerge`` used by the sort path."""
 
     def __init__(self, key_cols: tuple[str, ...], lo: int, hi: int,
-                 compact_rows: int = 400_000,
-                 stream_col: str | None = None):
+                 compact_rows: int = 400_000):
         self.key_cols = tuple(key_cols)
         self.lo, self.hi = lo, hi
         self.tables: list[pa.Table] = []
@@ -159,9 +160,6 @@ class MergeShard:
         self.events_seen = 0
         self.compact_rows = compact_rows
         self.seen_pushes: set = set()
-        # multi-table mode: rows carry a stream column; LWW keys and the
-        # finalize grouping include it (one lake table per stream)
-        self.stream_col = stream_col
 
     def ingest(self, t: pa.Table, push_id: tuple | int | None = None) -> int:
         """Accept one pre-reduced slice.  ``push_id`` is a deterministic
@@ -210,20 +208,9 @@ class MergeShard:
             "buffered": self.buffered,
         }
 
-    def _lww_key(self, merged: pa.Table) -> np.ndarray:
-        key = _composite_key(merged, self.key_cols)
-        if self.stream_col is not None:
-            streams = merged[self.stream_col].combine_chunks().to_numpy(
-                zero_copy_only=False
-            )
-            key = np.char.add(
-                np.char.add(streams.astype(str), "\x1e"), key.astype(str)
-            )
-        return key
-
     def _compact(self) -> None:
         merged = pa.concat_tables(self.tables, promote_options="default")
-        key = self._lww_key(merged)
+        key = _composite_key(merged, self.key_cols)
         win, _ = _winners_and_weights(
             key, merged["lsn"].to_numpy(), merged["seq"].to_numpy()
         )
@@ -237,7 +224,6 @@ class MergeShard:
         out = out.set_column(i, WEIGHT_COL, pa.array(weights, type=pa.int64()))
         self.tables = [out]
         self.buffered = len(out)
-
 
     def _drain(self) -> pa.Table | None:
         """Take every buffered row at a commit boundary: the caller's
@@ -253,17 +239,6 @@ class MergeShard:
         self.tables = []
         self.buffered = 0
         return merged
-
-    def _merge_buckets(self, t: pa.Table, merge_kw: dict) -> list[dict]:
-        """``BucketMerge`` each bucket of ``t`` (per-bucket merge +
-        deterministic file); returns the stats rows."""
-        bm = BucketMerge(self.key_cols, **merge_kw)
-        buckets = t[BUCKET_COL].to_numpy()
-        rows: list[dict] = []
-        for b in np.unique(buckets):
-            stats = bm(t.filter(pa.array(buckets == b)))
-            rows.append({c: stats[c][0].as_py() for c in stats.column_names})
-        return rows
 
     def finalize(
         self,
@@ -281,7 +256,8 @@ class MergeShard:
         merged = self._drain()
         if merged is None:
             return []
-        return self._merge_buckets(merged, dict(
+        bm = BucketMerge(
+            self.key_cols,
             out_dir=out_dir,
             commit_id=commit_id,
             prior_paths=prior_paths,
@@ -289,32 +265,13 @@ class MergeShard:
             ledger=ledger,
             fingerprint_col=fingerprint_col,
             renames=renames,
-        ))
-
-    def finalize_multi(self, per_stream: dict[str, dict]) -> list[dict]:
-        """Multi-table finalize: group owned rows by (stream, bucket)
-        and merge each into ITS stream's lake — ``per_stream`` maps a
-        stream to its ``BucketMerge`` arguments (the per-table topic
-        model).  Returns stats rows tagged with ``stream``."""
-        merged = self._drain()
-        if merged is None or self.stream_col is None:
-            return []
-        streams = merged[self.stream_col].combine_chunks().to_numpy(
-            zero_copy_only=False
         )
-        stats_rows: list[dict] = []
-        for stream in np.unique(streams):
-            merge_kw = per_stream.get(str(stream))
-            if merge_kw is None:
-                continue
-            sub = merged.filter(pa.array(streams == stream)).drop_columns(
-                [self.stream_col]
-            )
-            stats_rows += [
-                {**row, "stream": str(stream)}
-                for row in self._merge_buckets(sub, merge_kw)
-            ]
-        return stats_rows
+        buckets = merged[BUCKET_COL].to_numpy()
+        rows: list[dict] = []
+        for b in np.unique(buckets):
+            stats = bm(merged.filter(pa.array(buckets == b)))
+            rows.append({c: stats[c][0].as_py() for c in stats.column_names})
+        return rows
 
 
 #: below this many events ``run_streaming`` takes the sort route: the
@@ -358,11 +315,10 @@ def run_streaming(
 
 
 def _make_shard_pool(
-    cfg: CaptureConfig, num_shards: int | None, compact_rows: int,
-    stream_col: str | None = None,
+    cfg: CaptureConfig, num_shards: int | None, compact_rows: int
 ):
-    """The MergeShard pool + bucket→shard routing table (shared by
-    ``StreamingSession`` and the multi-table streaming pass)."""
+    """``StreamingSession``'s MergeShard pool + bucket→shard routing
+    table."""
     cpus = int(ray.cluster_resources().get("CPU", 8))
     if num_shards is None:
         num_shards = max(2, min(cfg.num_buckets, cpus))
@@ -376,7 +332,7 @@ def _make_shard_pool(
             num_cpus=0.5, scheduling_strategy="SPREAD",
         ).remote(
             cfg.key_cols, lo, min(lo + per, cfg.num_buckets),
-            compact_rows=compact_rows, stream_col=stream_col,
+            compact_rows=compact_rows,
         )
         for lo in range(0, cfg.num_buckets, per)
     ]

@@ -42,6 +42,16 @@ def _combine(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     return col
 
 
+def stream_names(source: pa.StructArray) -> pa.Array:
+    """``db.table`` name of each envelope's stream; a null ``db`` or
+    ``table`` reads as "" (so a null-db stream is ``.table``)."""
+    return pc.binary_join_element_wise(
+        pc.fill_null(source.field("db"), ""),
+        pc.fill_null(source.field("table"), ""),
+        ".",
+    )
+
+
 class EnvelopeDecoder:
     """``map_batches`` callable: envelope Arrow batch → formatted rows.
 
@@ -158,19 +168,16 @@ class EnvelopeDecoder:
             names=["op", "lsn", "seq", "ts_ms", "db", "table", "snapshot", "transaction"],
         )
 
-    def _stream_col(self, t: pa.Table) -> pa.Array:
+    def _split_stream(self, t: pa.Table) -> pa.Array:
         """SplitTable routing — `ChangeConsumer.java:147-177`."""
         cfg = self.cfg
         n = len(t)
         if cfg.split_table == SplitTable.OFF:
             return pa.array(["data"] * n)
         src = _combine(t["source"])
-        db = pc.fill_null(src.field("db"), "")
         if cfg.split_table == SplitTable.DATABASE:
-            return db
-        return pc.binary_join_element_wise(
-            db, pc.fill_null(src.field("table"), ""), "."
-        )
+            return pc.fill_null(src.field("db"), "")
+        return stream_names(src)
 
     def _project_columns(self, cols: dict[str, pa.Array]) -> dict[str, pa.Array]:
         """includedColumns/excludedColumns regex projection
@@ -224,7 +231,7 @@ class EnvelopeDecoder:
             cols[cfg.metadata_field_name] = pa.nulls(
                 n, self._metadata_col(t.slice(0, 0)).type
             )
-        cols[STREAM_COL] = self._stream_col(t)
+        cols[STREAM_COL] = self._split_stream(t)
         return cols
 
     def _format_inline(self, t: pa.Table) -> pa.Table:

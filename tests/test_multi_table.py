@@ -5,6 +5,7 @@ import json
 import os
 
 import pandas as pd
+import pyarrow as pa
 
 import ray.data
 
@@ -37,6 +38,23 @@ def _mixed_env():
     )
 
 
+def _with_db(env, db_of: dict):
+    """Rewrite ``source.db`` per source table (``None`` → null db)."""
+
+    def fix(t: pa.Table) -> pa.Table:
+        src = t["source"].combine_chunks()
+        db = pa.array([db_of[x] for x in src.field("table").to_pylist()],
+                      pa.string())
+        fields = list(src.type)
+        src = pa.StructArray.from_arrays(
+            [db if f.name == "db" else src.field(f.name) for f in fields],
+            fields=fields,
+        )
+        return t.set_column(t.schema.get_field_index("source"), "source", src)
+
+    return env.map_batches(fix, batch_format="pyarrow")
+
+
 class TestMultiTable:
     def test_discover_streams(self):
         assert discover_streams(_mixed_env()) == ["db1.orders", "db1.users"]
@@ -59,41 +77,28 @@ class TestMultiTable:
             str(tmp_path / "db1.users"), "_meta", "manifest-v000001.json")))
         assert m["connector_id"] == "kestra_00000001"
 
-
-class TestStreamingMultiTable:
-    def test_streaming_equals_per_stream(self, tmp_path):
-        from plugin_debezium_ray.pipelines.multi_table import (
-            replay_multi_table_streaming,
-        )
-
+    def test_null_and_dotted_db_streams(self, tmp_path):
+        """A null ``db`` names its stream ``.users``; a dotted ``db``
+        names it ``my.db.orders``.  Each stream's lake gets exactly its
+        own events."""
+        env = _with_db(_mixed_env(), {"users": None, "orders": "my.db"})
         cfg = CaptureConfig(key_cols=("id",), num_buckets=4)
-        ra = replay_multi_table(_mixed_env(), str(tmp_path / "a"), cfg)
-        rb = replay_multi_table_streaming(
-            _mixed_env(), str(tmp_path / "b"), cfg, fingerprint_col="v"
-        )
-        assert {k: v.events_seen for k, v in ra.items()} == {
-            k: v.events_seen for k, v in rb.items()
-        }
-        for s in ra:
-            ta = (ReplayJob(cfg, str(tmp_path / "a" / s)).read_table()
-                  .to_pandas().sort_values("id").reset_index(drop=True))
-            tb = (ReplayJob(cfg, str(tmp_path / "b" / s)).read_table()
-                  .to_pandas().sort_values("id").reset_index(drop=True))
-            assert ta.equals(tb)
+        results = replay_multi_table(env, str(tmp_path), cfg)
+        assert {s: r.events_seen for s, r in results.items()} == {
+            ".users": 3, "my.db.orders": 3}
+        users = ReplayJob(cfg, str(tmp_path / ".users")).read_table()
+        assert sorted(users.to_pandas()["v"]) == [10, 20, 50]
+        orders = ReplayJob(cfg, str(tmp_path / "my.db.orders")).read_table()
+        assert sorted(orders.to_pandas()["v"]) == [30, 40, 60]
 
-    def test_streaming_rerun_zero(self, tmp_path):
-        from plugin_debezium_ray.pipelines.multi_table import (
-            replay_multi_table_streaming,
-        )
-
+    def test_rerun_applies_zero(self, tmp_path):
         cfg = CaptureConfig(key_cols=("id",), num_buckets=4)
-        replay_multi_table_streaming(
-            _mixed_env(), str(tmp_path), cfg, fingerprint_col="v"
-        )
-        again = replay_multi_table_streaming(
-            _mixed_env(), str(tmp_path), cfg, fingerprint_col="v"
-        )
+        replay_multi_table(_mixed_env(), str(tmp_path), cfg)
+        again = replay_multi_table(_mixed_env(), str(tmp_path), cfg)
+        assert set(again) == {"db1.users", "db1.orders"}
         assert all(r.events_seen == 0 for r in again.values())
+        users = ReplayJob(cfg, str(tmp_path / "db1.users")).read_table()
+        assert sorted(users.to_pandas()["v"]) == [10, 20, 50]
 
 
 class TestForTask:

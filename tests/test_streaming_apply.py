@@ -335,10 +335,8 @@ class TestShardLoss:
 
         real_make = sa._make_shard_pool
 
-        def sabotaged(cfg, num_shards, compact_rows, stream_col=None):
-            shards, shard_of = real_make(
-                cfg, num_shards, compact_rows, stream_col
-            )
+        def sabotaged(cfg, num_shards, compact_rows):
+            shards, shard_of = real_make(cfg, num_shards, compact_rows)
             ray.kill(shards[0])  # one shard dies before the stream starts
             return shards, shard_of
 
