@@ -22,7 +22,8 @@ Every commit of every apply entry point runs ONE core, ``_apply``:
                 sort — groupby(_bucket).map_groups(BucketMerge), one hash
                        shuffle (SURVEY.md §7.3): ``run``, ``run_segments``
                 push — decode tasks push slices into MergeShard actors,
-                       ``MergeShard.finalize`` merges
+                       ``MergeShard.finalize`` merges all of a shard's
+                       buckets in one ``BucketMerge`` call
                        (``pipelines/streaming_apply.py``): ``run_streaming``,
                        ``run_streaming_segments``, ``StreamingSession``
     _commit   stats rows → manifest → atomic checkpoint commit

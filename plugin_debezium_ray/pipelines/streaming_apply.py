@@ -20,11 +20,13 @@ accumulated slices) whenever buffered rows exceed a threshold, so
 steady-state memory per shard is O(its share of live keys), not O(its
 share of the stream).
 
-Finalize reuses ``BucketMerge`` per bucket — identical deterministic
-bucket files, fingerprints and manifest as the sort path, so resume /
-rerun / read_table are interchangeable between the two paths.  The
-restore, schema replay, stop and snapshot rules and the manifest commit
-around the route are the shared ``_prepare`` / ``_commit``.
+Finalize hands each shard's drained rows to ONE ``BucketMerge`` call
+per commit (the sort route calls the same kernel once per bucket) —
+identical deterministic bucket files, fingerprints and manifest as the
+sort path, so resume / rerun / read_table are interchangeable between
+the two paths.  The restore, schema replay, stop and snapshot rules and
+the manifest commit around the route are the shared ``_prepare`` /
+``_commit``.
 
 ``StreamingSession`` owns one pool across commits (``apply_segment`` per
 commit); ``run_streaming`` is a one-shot session and
@@ -42,6 +44,7 @@ tasks awaiting their pushes before finishing a batch.
 from __future__ import annotations
 
 import functools
+import math
 import time
 
 import numpy as np
@@ -148,8 +151,9 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
 class MergeShard:
     """Owns buckets ``[lo, hi)``: accumulates pre-reduced event slices,
     compacts with the LWW winner reduction when buffered rows grow, and
-    at finalize merges each bucket with its prior lake state via the
-    same ``BucketMerge`` used by the sort path."""
+    at finalize merges all its buckets with their prior lake state in
+    one call of the ``BucketMerge`` kernel the sort path uses per
+    bucket."""
 
     def __init__(self, key_cols: tuple[str, ...], lo: int, hi: int,
                  compact_rows: int = 400_000):
@@ -251,12 +255,13 @@ class MergeShard:
         fingerprint_col: str | None,
         renames: dict[str, str] | None = None,
     ) -> list[dict]:
-        """Merge each owned bucket with prior state, write bucket files,
-        return the stats rows (same schema as the sort path)."""
+        """Merge the owned buckets with their prior state in ONE
+        ``BucketMerge`` call, write the bucket files, return the stats
+        rows (same schema as the sort path)."""
         merged = self._drain()
         if merged is None:
             return []
-        bm = BucketMerge(
+        return BucketMerge(
             self.key_cols,
             out_dir=out_dir,
             commit_id=commit_id,
@@ -265,13 +270,7 @@ class MergeShard:
             ledger=ledger,
             fingerprint_col=fingerprint_col,
             renames=renames,
-        )
-        buckets = merged[BUCKET_COL].to_numpy()
-        rows: list[dict] = []
-        for b in np.unique(buckets):
-            stats = bm(merged.filter(pa.array(buckets == b)))
-            rows.append({c: stats[c][0].as_py() for c in stats.column_names})
-        return rows
+        )(merged).to_pylist()
 
 
 #: below this many events ``run_streaming`` takes the sort route: the
@@ -323,18 +322,22 @@ def _make_shard_pool(
     if num_shards is None:
         num_shards = max(2, min(cfg.num_buckets, cpus))
     per = (cfg.num_buckets + num_shards - 1) // num_shards
+    los = range(0, cfg.num_buckets, per)
     # shards are lightweight during ingest; fractional CPU keeps slots
-    # free for decode until finalize needs them
+    # free for decode until finalize needs them.  The whole pool reserves
+    # at most all CPUs but one: a pool holding every CPU starves the
+    # decode tasks that feed it, and the commit never finishes.
+    shard_cpus = min(0.5, math.floor(max(cpus - 1, 0) / len(los) * 1e4) / 1e4)
     shards = [
         MergeShard.options(
             # SPREAD: one pool's shards land across cluster nodes (the
             # multi-node claim of the design, streaming_apply.py:26-28)
-            num_cpus=0.5, scheduling_strategy="SPREAD",
+            num_cpus=shard_cpus, scheduling_strategy="SPREAD",
         ).remote(
             cfg.key_cols, lo, min(lo + per, cfg.num_buckets),
             compact_rows=compact_rows,
         )
-        for lo in range(0, cfg.num_buckets, per)
+        for lo in los
     ]
     return shards, np.arange(cfg.num_buckets) // per
 

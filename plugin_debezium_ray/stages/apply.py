@@ -9,10 +9,12 @@ We shard it: ordering is only required per primary key, so
   2. **per-batch pre-reduce**: within each batch keep only the winning
      (max (lsn, seq)) event per key.  LWW is a semigroup, so this partial
      reduce is lossless and shrinks the ONE hash shuffle that follows.
-  3. ``groupby("_bucket").map_groups(merge)``: per bucket — ledger-filter
-     already-applied events, final LWW dedup, merge with the bucket's
-     prior Parquet state, write a deterministic new bucket file, return a
-     stats/lineage row (ST6 metrics).
+  3. ``BucketMerge`` over one or more buckets — the sort route's
+     ``groupby("_bucket").map_groups`` passes one bucket per call, a
+     push-route shard all of its buckets at once: ledger-filter
+     already-applied events, final LWW dedup, merge each bucket with its
+     prior Parquet state, write a deterministic new bucket file per
+     bucket, return one stats/lineage row per bucket (ST6 metrics).
 
 Exactly-once under retries (SURVEY.md §7.4 #1): events ≤ ledger are
 skipped (idempotent replay) and bucket files have deterministic names
@@ -41,7 +43,8 @@ _KEY_SEP = "\x1f"
 # is only sound against a prior digest computed by the SAME scheme; a lake
 # committed under a different (or unversioned, pre-r3) scheme must fall
 # back to a full digest recompute for touched buckets.  Bump this whenever
-# _xor_rows changes hash keys, lane count, or value canonicalization.
+# BucketMerge._row_lanes changes hash keys, lane count, or value
+# canonicalization.
 FINGERPRINT_SCHEME = "xor256-siphash4-str-v2"
 
 # the ONLY envelope columns the keyed apply reads (project_for_apply):
@@ -254,9 +257,46 @@ def _winners_and_weights(
     return win, weights
 
 
+# four fixed 16-byte SipHash keys → four independent 64-bit lanes per
+# row = one 256-bit per-row digest, fully vectorized
+_FP_LANE_KEYS = ("fp-lane-0-------", "fp-lane-1-------",
+                 "fp-lane-2-------", "fp-lane-3-------")
+# column name of the fingerprinted content in the prior key table
+_FP_VALS = "\x00content"
+
+
+def _xor_fold(lanes: np.ndarray, counts: np.ndarray) -> list[int]:
+    """Segmented XOR: fold the ``(4, n)`` lane matrix of bucket-contiguous
+    rows into one 256-bit digest per segment of ``counts[i]`` rows (an
+    empty segment folds to 0)."""
+    out = np.zeros((len(_FP_LANE_KEYS), len(counts)), dtype=np.uint64)
+    nz = counts > 0
+    if nz.any():
+        # reduceat over the non-empty segments only: an empty segment
+        # would otherwise yield the row at its start instead of 0
+        starts = (np.cumsum(counts) - counts)[nz]
+        out[:, nz] = np.bitwise_xor.reduceat(lanes, starts, axis=1)
+    return [
+        sum(int(out[lane, i]) << (64 * lane) for lane in range(len(out)))
+        for i in range(len(counts))
+    ]
+
+
 class BucketMerge:
-    """``map_groups`` callable: merge one bucket's winning events into the
-    bucket's prior lake state and write the new bucket file.
+    """``map_groups`` callable: merge the winning events of one or more
+    buckets into each bucket's prior lake state and write the new bucket
+    files.  The sort route hands it one bucket per call; a ``MergeShard``
+    hands it every bucket it drained, once per commit.  Ledger check, LWW,
+    per-bucket counters, the prior-key ``isin`` and the fingerprint hashes
+    run once over all rows; only the per-file work (read the prior file,
+    concatenate, sort, write) runs per bucket, so a file's bytes do not
+    depend on which buckets shared its call.
+
+    Returns one stats row per bucket written.  A row's ``apply_seconds``
+    is the call's wall time split evenly over the buckets it wrote, so
+    per-bucket sums still equal merge time.  A bucket whose rows all sit
+    at or below the ledger writes nothing and returns no row: the
+    manifest carries its prior entry forward.
 
     The Ray-native analogue of the reference's single-writer sink + offset
     store: state lives in Parquet keyed by deterministic bucket file names;
@@ -291,140 +331,194 @@ class BucketMerge:
 
     def __call__(self, group: pa.Table) -> pa.Table:
         t0 = time.monotonic()
-        if len(group) == 0:
-            return pa.table({k: pa.nulls(0, v) for k, v in APPLY_STATS_FIELDS})
-        bucket = int(group[BUCKET_COL][0].as_py())
-        events_seen = (
-            int(pc.sum(group[WEIGHT_COL]).as_py() or 0)
-            if WEIGHT_COL in group.column_names
-            else len(group)
-        )
-
         # defense-in-depth ledger check (pre-filter already ran upstream;
         # a retried upstream task may resend — skipping here keeps apply
-        # idempotent per event, SURVEY.md §7.4 #1)
-        led = self.ledger.get(bucket)
-        if led is not None:
-            lsn = group["lsn"].to_numpy()
-            seq = group["seq"].to_numpy()
-            keep = (lsn > led[0]) | ((lsn == led[0]) & (seq > led[1]))
-            group = group.filter(pa.array(keep))
+        # idempotent per event, SURVEY.md §7.4 #1).  Dropped rows are not
+        # counted as seen, as in project_for_apply.
+        if len(group) and self.ledger:
+            group = _ledger_filter(group, self.ledger)
+        if len(group) == 0:
+            return pa.table({k: pa.nulls(0, v) for k, v in APPLY_STATS_FIELDS})
 
-        stats = {k: None for k, _ in APPLY_STATS_FIELDS}
-        stats["bucket"] = bucket
-        stats["events_seen"] = events_seen
-
-        # final LWW dedup across batches
-        key = _composite_key(group, self.key_cols)
-        win, _ = _winners_and_weights(
-            key, group["lsn"].to_numpy(), group["seq"].to_numpy()
+        buckets, b_idx = np.unique(group[BUCKET_COL].to_numpy(), return_inverse=True)
+        nb = len(buckets)
+        weights = (
+            group[WEIGHT_COL].to_numpy()
+            if WEIGHT_COL in group.column_names
+            else None
         )
-        group = group.take(pa.array(win))
+        events_seen = np.bincount(b_idx, weights=weights, minlength=nb)
+
+        # final LWW dedup across batches.  A key hashes to exactly one
+        # bucket, so one winner pass over all buckets equals one per
+        # bucket.  Winners are then ordered by (bucket, lsn, seq): each
+        # bucket's rows are contiguous and its last row is its high-water
+        # mark.
+        key = _composite_key(group, self.key_cols)
+        lsn = group["lsn"].to_numpy()
+        seq = group["seq"].to_numpy()
+        win, _ = _winners_and_weights(key, lsn, seq)
+        win = win[np.lexsort((seq[win], lsn[win], b_idx[win]))]
+        applied = np.bincount(b_idx[win], minlength=nb)
+        last = win[np.cumsum(applied) - 1]
+        deleted = group["deleted"].to_numpy(zero_copy_only=False).astype(bool)[win]
+        deletes = np.bincount(b_idx[win], weights=deleted, minlength=nb).astype(np.int64)
+        n_up = applied - deletes
         key = key[win]
-
-        last_i = int(np.lexsort((group["seq"].to_numpy(), group["lsn"].to_numpy()))[-1])
-        stats["last_lsn"] = int(group["lsn"][last_i].as_py())
-        stats["last_seq"] = int(group["seq"][last_i].as_py())
-        stats["events_applied"] = len(group)
-
-        deleted = group["deleted"].to_numpy(zero_copy_only=False).astype(bool)
-        stats["deletes"] = int(deleted.sum())
-        stats["upserts"] = int(len(group) - deleted.sum())
 
         data_cols = [
             c
             for c in group.column_names
             if c not in ("deleted", BUCKET_COL, WEIGHT_COL)
         ]
-        upserts = group.filter(pa.array(~deleted)).select(data_cols)
+        upserts = group.select(data_cols).take(pa.array(win[~deleted]))
+        up_key = key[~deleted]
 
-        prior_path = self.prior_paths.get(bucket)
-        prior_fp = self.prior_fingerprints.get(bucket)
-        fp: str | None = None
-        if prior_path is not None and os.path.exists(prior_path):
-            prior = pq.read_table(prior_path)
-            if self.renames:
-                new_names = [self.renames.get(c, c) for c in prior.column_names]
-                if new_names != prior.column_names:
-                    prior = prior.rename_columns(new_names)
-            prior_key = _composite_key(prior, self.key_cols)
-            dead = pd.Index(prior_key).isin(key)  # replaced or deleted keys
-            # promote unifies schemas across evolution epochs: columns
-            # added since the prior commit read back as null in old rows
-            merged = pa.concat_tables(
-                [prior.filter(pa.array(~dead)), upserts],
-                promote_options="default",
-            )
-            if prior_fp is not None:
-                # incremental fingerprint: XOR algebra lets us update the
-                # partition digest touching ONLY removed + added rows —
-                # never re-hashing the unchanged bulk (10^10-row scale)
-                removed = self._xor_rows(
-                    prior.filter(pa.array(dead)), prior_key[dead]
+        # prior state: each touched bucket's own file (it is the base of
+        # that bucket's output), plus one concatenation of just the key
+        # and fingerprint columns for the one-pass isin and hashing
+        blist = buckets.tolist()
+        priors = {b: self._read_prior(b) for b in blist}
+        priors = {b: t for b, t in priors.items() if t is not None}
+        n_prior = np.array([len(priors[b]) if b in priors else 0 for b in blist])
+        # (the empty upserts slice gives the concatenation its schema
+        # when no bucket has a prior file)
+        narrow = pa.concat_tables(
+            [self._key_and_content(t) for t in (upserts.slice(0, 0), *priors.values())]
+        )
+        prior_key = _composite_key(narrow, self.key_cols)
+        prior_vals = _one_chunk(narrow[_FP_VALS])
+        dead = pd.Index(prior_key).isin(key)  # replaced or deleted keys
+
+        # fingerprints by XOR algebra: with a prior digest, update it by
+        # the removed (dead) prior rows and the added upserts — never
+        # re-hashing the unchanged bulk (10^10-row scale); without one,
+        # digest the surviving prior rows plus the upserts in full
+        prior_fp = [
+            self.prior_fingerprints.get(b) if b in priors else None for b in blist
+        ]
+        has_fp = np.array([fp is not None for fp in prior_fp])
+        row_b = np.repeat(np.arange(nb), n_prior)
+        hashed = dead == has_fp[row_b]
+        lanes = self._row_lanes(
+            np.concatenate([prior_key[hashed], up_key]),
+            pa.concat_arrays([prior_vals.filter(pa.array(hashed)),
+                              self._content(upserts)]),
+        )
+        n_hashed = int(hashed.sum())
+        prior_x = _xor_fold(
+            lanes[:, :n_hashed], np.bincount(row_b[hashed], minlength=nb)
+        )
+        added_x = _xor_fold(lanes[:, n_hashed:], n_up)
+
+        rows, paths = [], []
+        p_off = np.cumsum(n_prior) - n_prior
+        u_off = np.cumsum(n_up) - n_up
+        for i, b in enumerate(blist):
+            merged = upserts.slice(int(u_off[i]), int(n_up[i]))
+            if b in priors:
+                keep = ~dead[p_off[i] : p_off[i] + n_prior[i]]
+                # promote unifies schemas across evolution epochs: columns
+                # added since the prior commit read back as null in old rows
+                merged = pa.concat_tables(
+                    [priors[b].filter(pa.array(keep)), merged],
+                    promote_options="default",
                 )
-                added = self._xor_rows(upserts, key[~deleted])
-                fp = f"{int(prior_fp, 16) ^ removed ^ added:064x}"
-        else:
-            merged = upserts
+            rows.append(len(merged))
+            paths.append(self._write(b, merged))
+        fps = [
+            f"{(int(fp, 16) if fp is not None else 0) ^ px ^ ax:064x}"
+            for fp, px, ax in zip(prior_fp, prior_x, added_x)
+        ]
+        stats = {
+            "bucket": buckets,
+            "rows": rows,
+            "events_seen": events_seen.astype(np.int64),
+            "events_applied": applied,
+            "upserts": n_up,
+            "deletes": deletes,
+            "last_lsn": lsn[last],
+            "last_seq": seq[last],
+            "fingerprint": fps,
+            "path": paths,
+            "apply_seconds": np.full(nb, (time.monotonic() - t0) / nb),
+        }
+        return pa.table(
+            {k: pa.array(stats[k], type=typ) for k, typ in APPLY_STATS_FIELDS}
+        )
 
-        # deterministic row order → byte-stable files for the rerun test.
-        # Arrow's multi-key sort (C++ kernels) sorts each key column in
-        # its NATIVE type order — integers numerically, not as strings —
-        # which intentionally differs from the pre-r3 argsort on
-        # \x1f-joined key strings.  Only within-version byte-stability is
-        # guaranteed; files written by older code are value-equal but not
-        # byte-comparable.  Keys are unique post-merge, so the order (and
-        # the order-independent fingerprint) is total and deterministic.
+    def _read_prior(self, bucket: int) -> pa.Table | None:
+        """The bucket's committed file under the current column names, or
+        None for a bucket without one."""
+        path = self.prior_paths.get(bucket)
+        if path is None or not os.path.exists(path):
+            return None
+        prior = pq.read_table(path)
+        if self.renames:
+            new_names = [self.renames.get(c, c) for c in prior.column_names]
+            if new_names != prior.column_names:
+                prior = prior.rename_columns(new_names)
+        return prior
+
+    def _write(self, bucket: int, merged: pa.Table) -> str:
+        """Write one bucket file, rows sorted by key; returns its path.
+
+        Deterministic row order → byte-stable files for the rerun test.
+        Arrow's multi-key sort (C++ kernels) sorts each key column in
+        its NATIVE type order — integers numerically, not as strings —
+        which intentionally differs from the pre-r3 argsort on
+        \\x1f-joined key strings.  Only within-version byte-stability is
+        guaranteed; files written by older code are value-equal but not
+        byte-comparable.  Keys are unique post-merge, so the order (and
+        the order-independent fingerprint) is total and deterministic."""
         order = pc.sort_indices(
             merged, sort_keys=[(c, "ascending") for c in self.key_cols]
         )
-        merged = merged.take(order)
-
         path = os.path.join(self.out_dir, self.commit_id, f"bucket={bucket:05d}.parquet")
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".tmp"
-        pq.write_table(merged, tmp, compression="zstd")
+        pq.write_table(merged.take(order), tmp, compression="zstd")
         os.replace(tmp, path)  # idempotent retry: same name, same bytes
+        return path
 
-        stats["rows"] = len(merged)
-        stats["path"] = path
-        if fp is None:
-            # full digest needed only on a bucket's first commit — the
-            # incremental path above never builds the composite key
-            fp = f"{self._xor_rows(merged, _composite_key(merged, self.key_cols)):064x}"
-        stats["fingerprint"] = fp
-        stats["apply_seconds"] = time.monotonic() - t0
+    def _content(self, t: pa.Table) -> pa.Array:
+        """The fingerprinted content column as strings ("" for null or a
+        table without the column)."""
+        col = self.fingerprint_col
+        if col and col in t.column_names:
+            return pc.fill_null(pc.cast(_one_chunk(t[col]), pa.string()), "")
+        return pa.array([""] * len(t), pa.string())
+
+    def _key_and_content(self, t: pa.Table) -> pa.Table:
+        """The key columns (as strings) and fingerprinted content of one
+        prior file: one schema for every epoch, so they concatenate."""
         return pa.table(
-            {k: pa.array([stats[k]], type=typ) for k, typ in APPLY_STATS_FIELDS}
+            {
+                **{c: pc.cast(t[c], pa.string()) for c in self.key_cols},
+                _FP_VALS: self._content(t),
+            }
         )
 
-    # four fixed 16-byte SipHash keys → four independent 64-bit lanes per
-    # row = one 256-bit per-row digest, fully vectorized
-    _FP_LANE_KEYS = ("fp-lane-0-------", "fp-lane-1-------",
-                     "fp-lane-2-------", "fp-lane-3-------")
-
-    def _xor_rows(self, t: pa.Table, keys: np.ndarray) -> int:
-        """Order-independent row-set digest: XOR of a vectorized 256-bit
-        keyed hash of (key || content-ish column) per row — the
+    @staticmethod
+    def _row_lanes(keys: np.ndarray, vals: pa.Array) -> np.ndarray:
+        """Per-row 256-bit digest as a ``(4, n)`` uint64 lane matrix: a
+        keyed hash of key || content per row.  XOR-folded
+        (``_xor_fold``) it is an order-independent row-set digest — the
         distributed parity primitive (never collects rows to the driver),
         and a commutative group under XOR so removals/additions update it
         incrementally.  Vectorized: one ``pd.util.hash_array`` (keyed
         SipHash, deterministic across processes) per 64-bit lane instead
-        of a per-row Python ``hashlib`` loop."""
-        n = len(t)
-        if n == 0:
-            return 0
-        col = self.fingerprint_col if self.fingerprint_col in t.column_names else None
-        key_arr = pa.array(keys.astype(str))
-        if col:
-            vals = pc.fill_null(pc.cast(_one_chunk(t[col]), pa.string()), "")
-            joined = pc.binary_join_element_wise(key_arr, vals, "\x00")
-        else:
-            joined = pc.binary_join_element_wise(key_arr, pa.scalar(""),
-                                                 pa.scalar("\x00"))
+        of a per-row Python ``hashlib`` loop.
+
+        ``categorize=False`` is required, not a speed choice: the default
+        factorizes first and treats strings equal up to the embedded NUL
+        separator as one value, so a removed and an added version of the
+        same key hashed in one call would share a digest."""
+        if len(keys) == 0:
+            return np.zeros((len(_FP_LANE_KEYS), 0), dtype=np.uint64)
+        joined = pc.binary_join_element_wise(pa.array(keys.astype(str)), vals, "\x00")
         obj = joined.to_numpy(zero_copy_only=False)
-        acc = 0
-        for lane, hk in enumerate(self._FP_LANE_KEYS):
-            lane_acc = np.bitwise_xor.reduce(pd.util.hash_array(obj, hash_key=hk))
-            acc ^= int(lane_acc) << (64 * lane)
-        return acc
+        return np.stack([
+            pd.util.hash_array(obj, hash_key=hk, categorize=False)
+            for hk in _FP_LANE_KEYS
+        ])
