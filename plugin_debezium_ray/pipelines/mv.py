@@ -11,7 +11,7 @@ the engine already has:
   ``state/checkpoint.py``), and
 * per-bucket partial aggregates are associative (count / sum fold).
 
-So ``refresh()`` diffs the CURRENT manifest against the cached
+So ``refresh()`` diffs the newest manifest against the cached
 per-bucket partials, re-reads only the buckets whose file changed (one
 Ray task per changed bucket, column-pruned), folds all partials on the
 driver (O(buckets × groups) scalars), and persists the new cache
@@ -125,7 +125,7 @@ class MaterializedAggregate:
     min/max stay exact under deletes (the changed bucket's partial is
     recomputed from scratch — no retraction logic needed).
 
-    ``refresh()`` returns the aggregate of the CURRENT committed
+    ``refresh()`` returns the aggregate of the newest committed
     version as ``[{group, n_rows[, total][, vmin, vmax]}]`` rows and
     records how many buckets were re-read (``last_recomputed`` — the
     observable that the maintenance really is incremental)."""

@@ -11,10 +11,11 @@ One job object with the reference's three surfaces
 
 Every commit of every apply entry point runs ONE core, ``_apply``:
 
-    _prepare  restore the parent commit (ledger, prior bucket files and
-              fingerprints, version), replay schema history into the
-              registry, apply ``max_records`` and the ``snapshot_mode``
-              rules (NO_DATA, the ``max_snapshot_duration`` sub-commit)
+    _prepare  restore the parent commit once (ledger, prior bucket files
+              and fingerprints, version, this attempt's data dir), replay
+              schema history into the registry, apply ``max_records`` and
+              the ``snapshot_mode`` rules (NO_DATA, the sub-commit of
+              ``max_snapshot_duration``)
     route     map_batches(project_for_apply: decode + ledger filter +
               per-batch LWW pre-reduce), then route each bucket's events
               to ``BucketMerge`` (per-bucket merge + deterministic Parquet
@@ -26,7 +27,7 @@ Every commit of every apply entry point runs ONE core, ``_apply``:
                        buckets in one ``BucketMerge`` call
                        (``pipelines/streaming_apply.py``): ``run_streaming``,
                        ``run_streaming_segments``, ``StreamingSession``
-    _commit   stats rows → manifest → atomic checkpoint commit
+    _commit   stats rows → manifest → put-if-absent manifest create
 
 Both routes write byte-identical bucket files, so they are
 interchangeable on one lake.
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import copy
 import os
+import secrets
 import time
 from dataclasses import dataclass, field, replace
 
@@ -52,7 +54,10 @@ from plugin_debezium_ray.stages.apply import (
     project_for_apply,
 )
 from plugin_debezium_ray.stages.decode import EnvelopeDecoder
-from plugin_debezium_ray.state.checkpoint import CheckpointManager, build_manifest
+from plugin_debezium_ray.state.checkpoint import (
+    CheckpointManager, bucket_fingerprints_of, bucket_paths_of, build_manifest,
+    ledger_of,
+)
 from plugin_debezium_ray.state.schema_registry import (
     SchemaRegistry,
     registry_from_envelopes,
@@ -98,6 +103,8 @@ class _Prepared:
     prior_paths: dict
     prior_fps: dict
     version: int
+    #: this attempt's data directory name, ``v{N:06d}-{8 hex}``
+    commit_id: str
     reg: SchemaRegistry
     #: the records to apply; None under NO_DATA (commit the schema only)
     ds: "ray.data.Dataset | None"
@@ -123,7 +130,7 @@ class _Prepared:
         """This commit's ``BucketMerge`` / ``MergeShard.finalize`` args."""
         return dict(
             out_dir=self.data_dir,
-            commit_id=f"v{self.version:06d}",
+            commit_id=self.commit_id,
             prior_paths=self.prior_paths,
             prior_fingerprints=self.prior_fps,
             ledger=self.ledger,
@@ -159,9 +166,9 @@ class ReplayJob:
     """Applies an envelope stream into the lake table at ``table_dir``.
 
     ``table_dir`` layout (resumable output, SURVEY.md 'Resumable output'):
-        data/v{N}/bucket=NNNNN.parquet   — bucket files of commit N
-        _meta/manifest-v{N}.json         — per-commit manifest
-        _meta/CURRENT                    — atomic pointer
+        data/v{N}-{hex}/bucket=NNNNN.parquet — one attempt at commit N
+        _meta/manifest-v{N}.json — commit N, created put-if-absent
+        _meta/CURRENT            — hint for older readers, never read
     """
 
     def __init__(
@@ -329,13 +336,15 @@ class ReplayJob:
             ds = snapshot if mode == SnapshotMode.INITIAL_ONLY else snapshot.union(ds)
         if mode == SnapshotMode.NO_DATA:
             ds = None  # schema-only: commit the registry snapshot, apply nothing
+        version = int(parent["version"]) + 1 if parent else 1
         return _Prepared(
             cfg=cfg,
             parent=parent,
-            ledger=self.ckpt.ledger() if parent else {},
-            prior_paths=self.ckpt.bucket_paths() if parent else {},
-            prior_fps=self.ckpt.bucket_fingerprints() if parent else {},
-            version=(int(parent["version"]) + 1) if parent else 1,
+            ledger=ledger_of(parent),
+            prior_paths=bucket_paths_of(parent),
+            prior_fps=bucket_fingerprints_of(parent),
+            version=version,
+            commit_id=f"v{version:06d}-{secrets.token_hex(4)}",
             reg=reg,
             ds=ds,
             data_dir=os.path.join(self.table_dir, "data"),
@@ -348,7 +357,8 @@ class ReplayJob:
         self, prep: "_Prepared", stats_rows: list[dict], metrics: dict, t0: float
     ) -> ReplayResult:
         """Fold the routed stats rows into the next manifest and commit
-        it atomically — the one manifest write of every entry point."""
+        it atomically — the one manifest write of every entry point;
+        ``CommitConflict`` if another writer committed this version."""
         manifest = build_manifest(
             version=prep.version,
             connector_id=self.connector_id,
@@ -776,7 +786,7 @@ class ReplayJob:
 
         ``version=N`` time-travels to that commit's snapshot: each
         manifest pins its exact bucket files (merged buckets get new
-        ``v{N}`` files, untouched buckets keep their old paths), and
+        ``v{N}-{hex}`` files, untouched buckets keep their old paths), and
         ``vacuum`` only deletes files unreferenced by the manifests it
         keeps — so any retained version reads back byte-exactly."""
         if version is None:

@@ -8,9 +8,11 @@ history, and falls back to legacy two-key state on restore
 - a **manifest** JSON per commit: ``{version, connector_id, ledger
   {bucket: [last_lsn, last_seq]}, buckets {bucket: {path, rows,
   fingerprint, ...}}, schema (registry snapshot), metrics}``
-- commit = write ``manifest-vNNNNNN.json`` via temp-file + rename, then
-  flip the ``CURRENT`` pointer via temp-file + rename → a crash between
-  the two leaves the previous commit visible (atomicity).
+- the manifest log IS the commit (Delta Lake's protocol): ``save()``
+  fsyncs a temp file and ``os.link``s it to ``manifest-vNNNNNN.json`` —
+  put-if-absent, so a second writer of vN gets ``CommitConflict`` — then
+  fsyncs ``_meta``; ``restore()`` returns the highest-numbered manifest.
+  ``CURRENT`` is still written after it, a hint nothing here reads.
 - ``save()`` REFUSES an inconsistent save (ledger without schema when the
   source needs schema history) by returning None and writing nothing —
   the AtomicStateTest.java:71-256 contract.
@@ -20,6 +22,7 @@ history, and falls back to legacy two-key state on restore
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import tempfile
@@ -31,7 +34,11 @@ LEGACY_OFFSETS = "offsets.json"
 LEGACY_HISTORY = "history.json"
 
 
-def _atomic_write(path: str, data: str) -> None:
+class CommitConflict(Exception):
+    """Another writer already committed this manifest version."""
+
+
+def _atomic_write(path: str, data: str, place=os.replace) -> None:
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".")
@@ -40,7 +47,7 @@ def _atomic_write(path: str, data: str) -> None:
             f.write(data)
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
+        place(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -68,52 +75,54 @@ class CheckpointManager:
         ):
             return None
         version = int(manifest["version"])
-        path = os.path.join(self.meta_dir, f"manifest-v{version:06d}.json")
-        _atomic_write(path, json.dumps(manifest, sort_keys=True, indent=1))
-        _atomic_write(os.path.join(self.meta_dir, CURRENT), str(version))
+        path = self.manifest_path(version)
+        try:  # put-if-absent: the link IS the commit
+            _atomic_write(path, json.dumps(manifest, sort_keys=True, indent=1), os.link)
+        except FileExistsError:
+            raise CommitConflict(f"{path} is already committed") from None
+        fd = os.open(self.meta_dir, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        _atomic_write(os.path.join(self.meta_dir, CURRENT), str(version))  # hint
         return path
 
     # --------------------------------------------------------- restore
 
+    def manifest_path(self, version: int) -> str:
+        return os.path.join(self.meta_dir, f"manifest-v{int(version):06d}.json")
+
+    def latest_path(self) -> str | None:
+        """The highest-numbered manifest, or None.  A crash before the link
+        leaves ``manifest-vN.json.XXXX``, which the pattern does not match."""
+        paths = glob.glob(os.path.join(glob.escape(self.meta_dir), "manifest-v*.json"))
+        return max(paths, key=lambda p: int(p[p.rindex("-v") + 2:-5]), default=None)
+
     def restore(self) -> dict | None:
-        """Combined manifest first; legacy two-file state as fallback
-        (combined takes precedence — AtomicStateTest 'combined-takes-
-        precedence').  Corrupt/absent state is a non-fatal None (worst
-        case: re-snapshot), mirroring OffsetMigrationTest tolerance."""
-        cur = os.path.join(self.meta_dir, CURRENT)
-        try:
-            with open(cur) as f:
-                version = int(f.read().strip())
-            with open(
-                os.path.join(self.meta_dir, f"manifest-v{version:06d}.json")
-            ) as f:
+        """The highest-numbered manifest; legacy two-file state only when
+        there is none (combined takes precedence — AtomicStateTest
+        'combined-takes-precedence'), else None (fresh lake).  A manifest
+        that does not parse raises: silently starting over would
+        re-snapshot a lake that has commits."""
+        path = self.latest_path()
+        if path is None:
+            return self._restore_legacy()
+        with open(path) as f:
+            try:
                 return json.load(f)
-        except (OSError, ValueError, json.JSONDecodeError):
-            pass
-        return self._restore_legacy()
+            except json.JSONDecodeError as e:
+                raise ValueError(f"unreadable manifest {path}: {e}") from e
 
     def restore_version(self, version: int) -> dict:
         """Time-travel restore: the manifest of an EXPLICIT committed
-        version (``restore()`` follows CURRENT).  Unlike ``restore()``'s
-        tolerant None, an explicitly requested version that is absent —
-        never committed, or GC'd by ``vacuum`` — raises, because the
-        caller named a commit they expect to exist.
-        ``vacuum(keep_manifests=K)`` bounds how far back travel
-        reaches.  Versions beyond the CURRENT pointer are torn writes
-        (save() crashed before the flip), not commits — the next run
-        overwrites that number with different data — so they raise
-        too."""
-        if int(version) > self.current_version():
-            raise FileNotFoundError(
-                f"version {version} was never committed under "
-                f"{self.meta_dir} (beyond the CURRENT pointer; a "
-                "manifest file there is a torn write, not a commit)"
-            )
-        path = os.path.join(
-            self.meta_dir, f"manifest-v{int(version):06d}.json"
-        )
+        version (``restore()`` returns the newest).  Unlike ``restore()``'s
+        None for a fresh lake, an explicitly requested version that is
+        absent — never committed, or GC'd by ``vacuum`` — raises, because
+        the caller named a commit they expect to exist.
+        ``vacuum(keep_manifests=K)`` bounds how far back travel reaches."""
         try:
-            with open(path) as f:
+            with open(self.manifest_path(version)) as f:
                 return json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise FileNotFoundError(
@@ -154,35 +163,39 @@ class CheckpointManager:
         return int(m["version"]) if m else 0
 
     def ledger(self) -> dict[int, tuple[int, int]]:
-        m = self.restore()
-        if not m:
-            return {}
-        return {int(k): (int(v[0]), int(v[1])) for k, v in m.get("ledger", {}).items()}
+        return ledger_of(self.restore())
 
     def bucket_paths(self) -> dict[int, str]:
-        m = self.restore()
-        if not m:
-            return {}
-        return {int(k): v["path"] for k, v in m.get("buckets", {}).items()}
+        return bucket_paths_of(self.restore())
 
     def bucket_fingerprints(self) -> dict[int, str]:
-        """Prior bucket digests usable for the incremental XOR update.
+        return bucket_fingerprints_of(self.restore())
 
-        Returns ``{}`` when the restored manifest was committed under a
-        different (or missing, pre-versioned) fingerprint scheme: XOR-ing
-        new-scheme removed/added digests into an old-scheme value would
-        silently break the incremental-equals-full invariant, so touched
-        buckets fall back to a full digest recompute instead."""
-        m = self.restore()
-        if not m:
-            return {}
-        if m.get("fingerprint_scheme") != FINGERPRINT_SCHEME:
-            return {}
-        return {
-            int(k): v["fingerprint"]
-            for k, v in m.get("buckets", {}).items()
-            if v.get("fingerprint")
-        }
+
+def ledger_of(m: dict | None) -> dict[int, tuple[int, int]]:
+    ledger = (m or {}).get("ledger", {})
+    return {int(k): (int(v[0]), int(v[1])) for k, v in ledger.items()}
+
+
+def bucket_paths_of(m: dict | None) -> dict[int, str]:
+    return {int(k): v["path"] for k, v in (m or {}).get("buckets", {}).items()}
+
+
+def bucket_fingerprints_of(m: dict | None) -> dict[int, str]:
+    """Prior bucket digests usable for the incremental XOR update.
+
+    Returns ``{}`` when the manifest was committed under a different (or
+    missing, pre-versioned) fingerprint scheme: XOR-ing new-scheme
+    removed/added digests into an old-scheme value would silently break
+    the incremental-equals-full invariant, so touched buckets fall back
+    to a full digest recompute instead."""
+    if not m or m.get("fingerprint_scheme") != FINGERPRINT_SCHEME:
+        return {}
+    return {
+        int(k): v["fingerprint"]
+        for k, v in m.get("buckets", {}).items()
+        if v.get("fingerprint")
+    }
 
 
 def build_manifest(

@@ -17,9 +17,8 @@ current layout with the same contract:
 from __future__ import annotations
 
 import json
-import os
 
-from plugin_debezium_ray.state.checkpoint import _atomic_write
+from plugin_debezium_ray.state.checkpoint import CheckpointManager, _atomic_write
 from plugin_debezium_ray.state.identity import is_current_format
 
 LEGACY_IDS = ("engine",)
@@ -85,14 +84,6 @@ def migrate_manifest(
 
 
 def migrate_table_dir(table_dir: str, new_connector_id: str, **kw) -> bool:
-    """Migrate the CURRENT manifest of a lake table dir, if any."""
-    meta = os.path.join(table_dir, "_meta")
-    cur = os.path.join(meta, "CURRENT")
-    try:
-        with open(cur) as f:
-            version = int(f.read().strip())
-    except (OSError, ValueError):
-        return False
-    return migrate_manifest(
-        os.path.join(meta, f"manifest-v{version:06d}.json"), new_connector_id, **kw
-    )
+    """Migrate the newest manifest of a lake table dir, if any."""
+    path = CheckpointManager(table_dir).latest_path()
+    return path is not None and migrate_manifest(path, new_connector_id, **kw)

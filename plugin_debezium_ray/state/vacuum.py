@@ -1,12 +1,14 @@
 """Lake maintenance: vacuum old commit versions, inspect history.
 
-Every commit writes fresh bucket files under ``data/v{N}/`` and the
-manifest carries forward pointers to untouched buckets from older
-versions — so old version dirs accumulate a mix of still-referenced and
-orphaned files.  ``vacuum`` deletes files not referenced by the CURRENT
-manifest (and optionally keeps the last K manifests for time travel),
-never touching anything the live manifest points at — the safe-GC
-contract of manifest-gated visibility.
+Every commit attempt writes fresh bucket files under its own
+``data/v{N}-{hex}/`` and the manifest carries forward pointers to
+untouched buckets from older versions — so old version dirs accumulate a
+mix of still-referenced and orphaned files (an attempt that lost a
+commit race, or crashed before its manifest, references nothing).
+``vacuum`` deletes files not referenced by the newest manifest (and
+optionally keeps the last K manifests for time travel), never touching
+anything the live manifest points at — the safe-GC contract of
+manifest-gated visibility.
 """
 
 from __future__ import annotations
@@ -18,33 +20,16 @@ import os
 from plugin_debezium_ray.state.checkpoint import CheckpointManager
 
 
-def _committed_horizon(table_dir: str) -> int:
-    """The CURRENT pointer's version, or 0 when nothing is committed.
-    A manifest file ABOVE this horizon is a torn write (save() crashed
-    between the manifest write and the CURRENT flip) — never a commit:
-    the next successful run will overwrite that version number with
-    different data, so exposing it as history would let 'version N'
-    denote two different snapshots."""
-    try:
-        with open(os.path.join(table_dir, "_meta", "CURRENT")) as f:
-            return int(f.read().strip())
-    except (OSError, ValueError):
-        return 0
-
-
 def list_history(table_dir: str) -> list[dict]:
-    """All COMMITTED manifests, oldest first: version, events, buckets.
-    Torn manifests beyond the CURRENT pointer are excluded (see
-    ``_committed_horizon``)."""
-    horizon = _committed_horizon(table_dir)
+    """All committed manifests, oldest first: version, events, buckets.
+    A manifest temp file left by a crash before its link is not a commit
+    and does not match the pattern."""
     out = []
     for p in sorted(glob.glob(os.path.join(table_dir, "_meta", "manifest-v*.json"))):
         try:
             with open(p) as f:
                 m = json.load(f)
         except (OSError, json.JSONDecodeError):
-            continue
-        if int(m.get("version", 0)) > horizon:
             continue
         out.append(
             {
@@ -113,7 +98,7 @@ def vacuum(
         if not dry_run:
             os.unlink(p)
     if not dry_run:
-        # drop manifests of vacuumed versions; never the CURRENT pointer
+        # drop manifests of vacuumed versions; never the newest one
         for h in history:
             if h["version"] not in keep_versions:
                 os.unlink(h["path"])

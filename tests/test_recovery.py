@@ -5,10 +5,13 @@ a manifest pointing at them (crash between data write and commit) — they
 must be invisible, and a rerun must converge to the same committed state
 (AtomicStateTest semantics applied end-to-end)."""
 
+import glob
 import hashlib
 import json
 import os
 import shutil
+
+import pytest
 
 from plugin_debezium_ray.config import CaptureConfig
 from plugin_debezium_ray.pipelines.replay import ReplayJob
@@ -134,3 +137,138 @@ def test_streaming_crash_between_data_write_and_commit(tmp_path):
         for b, p in job_after.ckpt.bucket_paths().items()
     }
     assert new_hashes == v2_hashes
+
+
+# One log of 1200 events (lsn 1..300) cut into lsn ranges: the state
+# after the ranges up to ``hi`` is oracle_apply(..., max_lsn=hi).
+N, K, SEED = 1200, 100, 51
+
+
+def _segment(lo, hi, seed=SEED):
+    return binlog(N, K, seed=seed).filter(lambda r: lo < r["lsn"] <= hi)
+
+
+def _oracle(hi):
+    return {k: r["content"] for k, r in oracle_apply(
+        N, K, seed=SEED, include_snapshot=False, max_lsn=hi).items()}
+
+
+def _state(lake):
+    tab = ReplayJob(CaptureConfig(), lake).read_table().to_pandas()
+    return {(r.repo, r.path): r.content for r in tab.itertuples()}
+
+
+def _sha(paths):
+    return {b: hashlib.sha256(open(p, "rb").read()).hexdigest()
+            for b, p in paths.items()}
+
+
+def test_corrupt_pointer_does_not_reset_the_lake(tmp_path):
+    """Garbage in CURRENT after two commits: the third run still commits
+    v3 on top of v2 (the pointer is a hint nothing reads) and leaves the
+    earlier manifests byte-identical."""
+    lake = str(tmp_path)
+    cfg = CaptureConfig(num_buckets=8)
+    for lo, hi in ((0, 100), (100, 200)):
+        ReplayJob(cfg, lake).run(_segment(lo, hi), ddl_source=False)
+    meta = os.path.join(lake, "_meta")
+    names = ("manifest-v000001.json", "manifest-v000002.json")
+    before = [open(os.path.join(meta, n), "rb").read() for n in names]
+    with open(os.path.join(meta, "CURRENT"), "w") as f:
+        f.write("garbage")
+
+    res = ReplayJob(cfg, lake).run(_segment(200, 300), ddl_source=False)
+    assert res.version == 3
+    assert [open(os.path.join(meta, n), "rb").read() for n in names] == before
+    assert _state(lake) == _oracle(300)
+
+
+def test_two_writers_one_commit_wins(tmp_path):
+    """Two writers prepared on the same parent: the first commit wins
+    v2, the second raises CommitConflict without touching the winner's
+    bucket files (it wrote its own attempt directory)."""
+    import time
+
+    from plugin_debezium_ray.pipelines.replay import _sort_route
+    from plugin_debezium_ray.state.checkpoint import CommitConflict
+
+    lake = str(tmp_path)
+    cfg = CaptureConfig(num_buckets=8)
+    ReplayJob(cfg, lake).run(_segment(0, 150), ddl_source=False)
+    a, b = ReplayJob(cfg, lake), ReplayJob(cfg, lake)
+    prep_a = a._prepare(_segment(150, 300), None, False, _sort_route)
+    prep_b = b._prepare(_segment(150, 300, SEED + 1), None, False, _sort_route)
+    assert prep_a.version == prep_b.version == 2
+
+    rows, _ = _sort_route(prep_a)
+    assert a._commit(prep_a, rows, {}, time.monotonic()).version == 2
+    won = a.ckpt.bucket_paths()
+    won_sha = _sha(won)
+    rows, _ = _sort_route(prep_b)
+    with pytest.raises(CommitConflict):
+        b._commit(prep_b, rows, {}, time.monotonic())
+    assert _sha(won) == won_sha
+    assert a.ckpt.current_version() == 2 and a.ckpt.bucket_paths() == won
+    assert _state(lake) == _oracle(300)
+
+
+def _commit_on(route, lake, ds):
+    job = ReplayJob(CaptureConfig(num_buckets=8), lake)
+    if route == "sort":
+        return job.run(ds, ddl_source=False)
+    with job.streaming_session(num_shards=2) as session:
+        return session.apply_segment(ds)
+
+
+@pytest.mark.parametrize("route", ["sort", "push"])
+def test_crash_at_every_commit_write(tmp_path, route):
+    """A process crash at each filesystem write of commit 2, on both
+    routes.  Each crash state is built from a completed commit by
+    deleting the writes after the crash point (shard actors write from
+    other processes, so the crash cannot be injected in place).  After
+    each, restore() is exactly v1 or v2, and rerunning commit 2's input
+    yields the oracle."""
+    lake, saved = str(tmp_path / "lake"), str(tmp_path / "saved")
+    meta = os.path.join(lake, "_meta")
+    _commit_on(route, lake, _segment(0, 150))
+    hint_v1 = open(os.path.join(meta, "CURRENT")).read()
+    _commit_on(route, lake, _segment(150, 300))
+    shutil.copytree(lake, saved)
+    ckpt = ReplayJob(CaptureConfig(), lake).ckpt
+    v1, v2 = ckpt.restore_version(1), ckpt.restore_version(2)
+    files = sorted(glob.glob(os.path.join(lake, "data", "v000002-*", "*.parquet")))
+    assert len({os.path.dirname(p) for p in files}) == 1 and len(files) == 8
+    manifest = os.path.join(meta, "manifest-v000002.json")
+
+    # crash point -> (bucket files written, manifest state, hint written)
+    points = {
+        "no bucket files": (0, None, False),
+        "some bucket files": (3, None, False),
+        "all bucket files": (8, None, False),
+        "manifest temp file": (8, "temp", False),
+        "manifest linked": (8, "linked", False),
+        "hint written": (8, "linked", True),
+    }
+    for point, (kept, state, hint) in points.items():
+        shutil.rmtree(lake)
+        shutil.copytree(saved, lake)
+        for p in files[kept:]:
+            os.remove(p)
+        if 0 < kept < len(files):  # the next file's write was cut short
+            with open(files[kept] + ".tmp", "wb") as f:
+                f.write(open(os.path.join(saved, os.path.relpath(
+                    files[kept], lake)), "rb").read()[:100])
+        if state is None:
+            os.remove(manifest)
+        elif state == "temp":
+            os.rename(manifest, manifest + ".k3j2l1x_")
+        if not hint:
+            with open(os.path.join(meta, "CURRENT"), "w") as f:
+                f.write(hint_v1)
+
+        want = v2 if state == "linked" else v1
+        assert ckpt.restore() == want, point
+        res = _commit_on(route, lake, _segment(150, 300))
+        assert res.version == want["version"] + 1, point
+        assert res.events_seen == (0 if want is v2 else 600), point
+        assert _state(lake) == _oracle(300), point

@@ -6,7 +6,13 @@ OffsetMigrationTest.java:30-403 and ConnectorIdTest.java:8-79."""
 import json
 import os
 
-from plugin_debezium_ray.state.checkpoint import CheckpointManager, build_manifest
+import pytest
+
+from plugin_debezium_ray.state.checkpoint import (
+    CheckpointManager,
+    CommitConflict,
+    build_manifest,
+)
 from plugin_debezium_ray.state.identity import connector_id, is_current_format
 from plugin_debezium_ray.state.migration import migrate_manifest, migrate_table_dir
 from plugin_debezium_ray.state.schema_registry import SchemaRegistry
@@ -44,15 +50,40 @@ class TestCheckpoint:
         ck2 = CheckpointManager(str(tmp_path), needs_schema_history=False)
         assert ck2.save(_manifest(schema=None)) is not None
 
-    def test_crash_between_manifest_and_pointer(self, tmp_path):
-        """Manifest v2 written but CURRENT not flipped → v1 still visible
-        (atomic commit: temp+rename, pointer last)."""
+    def test_temp_manifest_before_link_is_not_a_commit(self, tmp_path):
+        """A crash after the manifest temp file is written but before its
+        link leaves ``manifest-v000002.json.XXXX`` → v1 still visible, and
+        the next save of v2 succeeds (the link is the commit)."""
         ck = CheckpointManager(str(tmp_path))
         ck.save(_manifest(1))
-        # simulate crash: v2 manifest file exists, pointer untouched
-        with open(os.path.join(str(tmp_path), "_meta", "manifest-v000002.json"), "w") as f:
+        tmp = os.path.join(str(tmp_path), "_meta", "manifest-v000002.json.k3j2l1x_")
+        with open(tmp, "w") as f:
             json.dump(_manifest(2), f)
         assert ck.restore()["version"] == 1
+        assert ck.save(_manifest(2)) and ck.restore()["version"] == 2
+
+    def test_second_save_of_a_version_conflicts(self, tmp_path):
+        """Manifests are created put-if-absent: a second writer of v1
+        raises and leaves the committed manifest and no temp file."""
+        ck = CheckpointManager(str(tmp_path))
+        p = ck.save(_manifest(1))
+        before = open(p).read()
+        other = {**_manifest(1), "ledger": {"0": [9, 9]}}
+        with pytest.raises(CommitConflict):
+            CheckpointManager(str(tmp_path)).save(other)
+        assert open(p).read() == before
+        assert sorted(os.listdir(os.path.dirname(p))) == [
+            "CURRENT", "manifest-v000001.json"]
+
+    def test_unreadable_manifest_raises(self, tmp_path):
+        """A manifest that does not parse is an error, never a silent
+        restart from an empty lake."""
+        ck = CheckpointManager(str(tmp_path))
+        ck.save(_manifest(1))
+        with open(os.path.join(str(tmp_path), "_meta", "manifest-v000002.json"), "w") as f:
+            f.write("{torn")
+        with pytest.raises(ValueError, match="manifest-v000002"):
+            ck.restore()
 
     def test_corrupt_current_falls_back_legacy_then_none(self, tmp_path):
         ck = CheckpointManager(str(tmp_path))

@@ -150,22 +150,23 @@ def test_retention_policy_bounds_long_streams(tmp_path):
         vacuum(str(tmp_path), keep_every=0)
 
 
-def test_torn_manifest_is_not_history(tmp_path):
-    """A manifest written without the CURRENT flip (the save() crash
-    window) is a torn write, not a commit: invisible to versions()/
-    list_history, and restore_version refuses it — the next run will
-    overwrite that version number with different data."""
+def test_temp_manifest_is_not_history(tmp_path):
+    """A manifest temp file left by a crash before its link (the one
+    window of save()) is not a commit: invisible to versions()/
+    list_history, read_table(version=4) raises, and the next commit
+    is v4."""
     import json
 
     import pytest
 
     job = _three_commits(tmp_path)
     meta = os.path.join(str(tmp_path), "_meta")
-    # simulate the crash: manifest v4 on disk, CURRENT still at 3
-    with open(os.path.join(meta, "manifest-v000004.json"), "w") as f:
+    with open(os.path.join(meta, "manifest-v000004.json.k3j2l1x_"), "w") as f:
         json.dump({"version": 4, "parent": 3, "buckets": {}}, f)
     assert job.versions() == [1, 2, 3]
     assert [h["version"] for h in list_history(str(tmp_path))] == [1, 2, 3]
-    with pytest.raises(FileNotFoundError, match="never committed"):
+    with pytest.raises(FileNotFoundError, match="version 4"):
         job.read_table(version=4)
     assert job.ckpt.current_version() == 3
+    res = job.run(binlog(400, 60, seed=4, base_lsn=30_001), ddl_source=False)
+    assert res.version == 4 and job.versions() == [1, 2, 3, 4]
