@@ -193,24 +193,16 @@ def q_cdc_bounded_replay(sf_dir: str):
 def q_cdc_lww_apply(sf_dir: str):
     """M1-M9 + ST1/2.5/2.6: full keyed LWW apply of the event stream —
     final table state (upserts minus deletes, ordered by lsn per key).
-    Runs the STREAMING actor-pool engine (`run_streaming`, the headline
-    apply path — byte-identical lake layout to the sort path)."""
-    import pyarrow.parquet as pq
-
+    One ``job.run`` commit: no shard pool is open, so the sort route
+    applies it (the same lake bytes as the push route)."""
     env = _events_envelopes(sf_dir)
-    # cheap size hint from parquet footer metadata (no pipeline run):
-    # below the crossover the engine takes the sort path — shard-actor
-    # startup dominates tiny jobs (VERDICT r2 "what's wrong" #4)
-    n_events = pq.ParquetFile(
-        os.path.join(sf_dir, "events.parquet")
-    ).metadata.num_rows
     with tempfile.TemporaryDirectory(prefix="lww_", dir="/tmp") as d:
         job = ReplayJob(
             CaptureConfig(key_cols=("user_id",), num_buckets=16),
             os.path.join(d, "lake"),
             fingerprint_col="event_type",
         )
-        job.run_streaming(env, estimated_events=n_events)
+        job.run(env)
         tab = job.read_table().to_pandas()
     return tab[["user_id", "lsn", "event_type", "value"]]
 
@@ -227,10 +219,11 @@ def q_cdc_six_ops(sf_dir: str):
 
     with tempfile.TemporaryDirectory(prefix="sixops_", dir="/tmp") as d:
         job = ReplayJob(CaptureConfig(num_buckets=8), os.path.join(d, "lake"))
-        job.run_streaming(
-            binlog(2000, 150, seed=13, p_truncate=0.05, p_message=0.05),
-            snapshot=snapshot_envelopes(150, seed=13),
-        )
+        with job.streaming_session():
+            job.run(
+                binlog(2000, 150, seed=13, p_truncate=0.05, p_message=0.05),
+                snapshot=snapshot_envelopes(150, seed=13),
+            )
         tab = job.read_table().to_pandas()
     return (
         tab[["repo", "path", "commit", "lang"]]

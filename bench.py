@@ -48,7 +48,8 @@ REPLAY_BATCH = 131072  # measured sweet spot (262144 degrades: buffering)
 # so small blocks keep all slots busy (512 MB starved the sort at 1-2
 # blocks per 1M-event segment; measured 27.4s -> 18.5s at 32 cpus)
 TARGET_BLOCK_MB = int(os.environ.get("GRAFT_BLOCK_MB", "32"))
-# the replay runs the barrier-free actor-pool merge (run_streaming): 8.4M
+# the replay runs the barrier-free actor-pool merge (the push route, a
+# ``streaming_session`` around ``run``): 8.4M
 # WAL 45.6 -> 7.8 s at 32 cpus vs one sort-shuffle run; 50.4M WAL 36 s at
 # 32 / 119 s at 8 -> scaling efficiency 0.83
 _WAL_READ_BLOCKS_ENV = os.environ.get("GRAFT_WAL_READ_BLOCKS")
@@ -141,14 +142,17 @@ def bench_cdc_replay(
     )
     from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
-    seen = job.run_streaming(
-        ray.data.read_parquet(
-            wal_dir,
-            columns=list(APPLY_COLUMNS),
-            override_num_blocks=wal_read_blocks(n_events),
-        ),
-        snapshot=ray.data.read_parquet(snap_dir, columns=list(APPLY_COLUMNS)),
-    ).events_seen
+    with job.streaming_session():
+        seen = job.run(
+            ray.data.read_parquet(
+                wal_dir,
+                columns=list(APPLY_COLUMNS),
+                override_num_blocks=wal_read_blocks(n_events),
+            ),
+            snapshot=ray.data.read_parquet(
+                snap_dir, columns=list(APPLY_COLUMNS)
+            ),
+        ).events_seen
     dt = time.monotonic() - t0
     shutil.rmtree(lake, ignore_errors=True)
     return {"sec": dt, "events": seen, "eps": seen / dt}

@@ -11,8 +11,9 @@ Each command prints ONE JSON line with its result metrics so job logs
 are machine-parseable (mirrors ``bench.py``'s contract).
 
 Commands:
-  replay   WAL parquet segments → lake upsert (sort or streaming path)
+  replay   WAL parquet segments → lake upsert, one commit (sort route)
   follow   watch a WAL directory, commit each arrival batch until idle
+           (one shard pool for the whole run: push route)
   capture  WAL parquet segments → per-stream files (parquet/jsonl/ion)
   lineage  committed per-bucket lineage of a lake table
   history  retained commit versions of a lake (time-travel horizon)
@@ -53,11 +54,7 @@ def cmd_replay(args) -> dict:
 
     _init_ray()
     job = ReplayJob(_config_from_args(args), args.lake)
-    res = job.run_from_paths(
-        args.wal,
-        snapshot_paths=args.snapshot,
-        streaming=not args.sort_path,
-    )
+    res = job.run_from_paths(args.wal, snapshot_paths=args.snapshot)
     return {
         "command": "replay",
         "version": res.version,
@@ -82,7 +79,6 @@ def cmd_follow(args) -> dict:
     for res in job.follow_apply(
         args.wal_dir,
         poll_interval=args.poll_interval,
-        streaming=not args.sort_path,
         max_wait_seconds=args.max_wait,
         max_duration_seconds=args.max_duration,
     ):
@@ -275,7 +271,9 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="python -m plugin_debezium_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    rp = sub.add_parser("replay", help="WAL segments -> lake upsert")
+    rp = sub.add_parser(
+        "replay", help="WAL segments -> lake upsert (one commit)"
+    )
     rp.add_argument("--wal", required=True, help="WAL parquet dir/file(s)")
     rp.add_argument("--lake", required=True, help="lake table dir")
     rp.add_argument("--snapshot", default=None, help="snapshot parquet dir")
@@ -283,14 +281,12 @@ def main(argv: list[str] | None = None) -> int:
     rp.add_argument("--num-buckets", type=int, default=None)
     rp.add_argument("--max-records", type=int, default=None)
     rp.add_argument("--max-lsn", type=int, default=None)
-    rp.add_argument(
-        "--sort-path", action="store_true",
-        help="force the sort-shuffle apply (default: streaming actor pool)",
-    )
     rp.set_defaults(fn=cmd_replay)
 
     fp = sub.add_parser(
-        "follow", help="watch a WAL dir, commit each arrival batch"
+        "follow",
+        help="watch a WAL dir, commit each arrival batch through one "
+             "persistent shard pool",
     )
     fp.add_argument("--wal-dir", required=True, help="directory to watch")
     fp.add_argument("--lake", required=True, help="lake table dir")
@@ -301,11 +297,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="idle stop: seconds with no new segment")
     fp.add_argument("--max-duration", type=float, default=None,
                     help="total wall bound in seconds")
-    fp.add_argument(
-        "--sort-path", action="store_true",
-        help="per-batch sort-shuffle apply (default: one persistent "
-             "streaming shard pool)",
-    )
     fp.set_defaults(fn=cmd_follow)
 
     cp = sub.add_parser("capture", help="WAL segments -> per-stream files")

@@ -9,7 +9,7 @@ One job object with the reference's three surfaces
 - ``iter_events()``— realtime trigger: per-record streaming iterator
                      (`AbstractDebeziumRealtimeTrigger.java:117-186`)
 
-Every commit of every apply entry point runs ONE core, ``_apply``:
+Every commit runs ONE core, ``run``:
 
     _prepare  restore the parent commit once (ledger, prior bucket files
               and fingerprints, version, this attempt's data dir), replay
@@ -21,15 +21,18 @@ Every commit of every apply entry point runs ONE core, ``_apply``:
               to ``BucketMerge`` (per-bucket merge + deterministic Parquet
               write), by one of two strategies:
                 sort — groupby(_bucket).map_groups(BucketMerge), one hash
-                       shuffle (SURVEY.md §7.3): ``run``, ``run_segments``
+                       shuffle (SURVEY.md §7.3)
                 push — decode tasks push slices into MergeShard actors,
                        ``MergeShard.finalize`` merges all of a shard's
                        buckets in one ``BucketMerge`` call
-                       (``pipelines/streaming_apply.py``): ``run_streaming``,
-                       ``run_streaming_segments``, ``StreamingSession``
+                       (``pipelines/streaming_apply.py``)
     _commit   stats rows → manifest → put-if-absent manifest create
 
-Both routes write byte-identical bucket files, so they are
+The job picks the route from one fact: whether a ``StreamingSession``
+(a live shard pool) is open on it.  Then every commit of every entry
+point — ``run``, ``run_segments``, ``run_from_paths``, ``run_source``,
+``poll``, ``follow_apply`` — takes the push route; otherwise the sort
+route.  Both routes write byte-identical bucket files, so they are
 interchangeable on one lake.
 """
 
@@ -187,6 +190,9 @@ class ReplayJob:
             table_dir, needs_schema_history=needs_schema_history
         )
         self.fingerprint_col = fingerprint_col
+        #: ``route(prep) -> (stats_rows, route_metrics)``: the sort route,
+        #: or an open ``StreamingSession``'s push route
+        self._route = _sort_route
 
     @classmethod
     def for_task(
@@ -225,9 +231,10 @@ class ReplayJob:
         snapshot: "ray.data.Dataset | None" = None,
         ddl_source: "ray.data.Dataset | bool | None" = None,
     ) -> ReplayResult:
-        """One batch capture on the sort route: restore state → schema
-        replay → apply → atomic commit.  Idempotent: rerunning with the
-        same envelopes applies zero events (the CaptureTest.java:97-99
+        """One batch capture, the apply core behind every entry point:
+        restore state → schema replay → route → atomic commit, on the
+        job's current route.  Idempotent: rerunning with the same
+        envelopes applies zero events (the CaptureTest.java:97-99
         contract).
 
         ``ddl_source``: column-pruned Dataset to scan for DDL events
@@ -235,45 +242,28 @@ class ReplayJob:
         Ray 2.49 does not push ``select_columns`` into the read, so
         deriving it from ``envelopes`` re-deserializes the image columns);
         ``False`` skips the scan for sources known to carry no DDL;
-        ``None`` derives from ``envelopes``."""
-        return self._apply(
-            envelopes, _sort_route, snapshot=snapshot, ddl_source=ddl_source
-        )
-
-    def _apply(
-        self,
-        envelopes: "ray.data.Dataset",
-        route,
-        *,
-        snapshot: "ray.data.Dataset | None" = None,
-        ddl_source: "ray.data.Dataset | bool | None" = None,
-        metrics: dict | None = None,
-    ) -> ReplayResult:
-        """The apply core behind every entry point: prepare → route →
-        commit.  ``route(prep)`` writes the touched bucket files and
-        returns ``(stats_rows, route_metrics)`` — ``_sort_route`` here,
-        the shard pool's push route in ``pipelines/streaming_apply.py``."""
+        ``None`` scans ``envelopes`` if it has a ``ddl`` column and
+        otherwise carries the registry forward."""
         t0 = time.monotonic()
-        prep = self._prepare(envelopes, snapshot, ddl_source, route)
+        prep = self._prepare(envelopes, snapshot, ddl_source)
         if isinstance(prep, ReplayResult):
             return prep  # the snapshot phase overran its budget
-        rows, route_metrics = route(prep) if prep.ds is not None else ([], {})
-        return self._commit(prep, rows, {**route_metrics, **(metrics or {})}, t0)
+        rows, metrics = self._route(prep) if prep.ds is not None else ([], {})
+        return self._commit(prep, rows, metrics, t0)
 
     def _prepare(
         self,
         envelopes: "ray.data.Dataset",
         snapshot: "ray.data.Dataset | None",
         ddl_source: "ray.data.Dataset | bool | None",
-        route,
     ) -> "_Prepared | ReplayResult":
         """Everything a commit decides before routing: restore the parent
         commit, replay schema history into the registry (ST3), and apply
         the ``max_records`` and ``snapshot_mode`` rules.
 
         Under a ``max_snapshot_duration_seconds`` budget the snapshot
-        phase first commits on its own through ``route``; when it overruns
-        the budget, that commit's result comes back instead."""
+        phase first commits on its own; when it overruns the budget,
+        that commit's result comes back instead."""
         cfg = self.cfg
         mode = cfg.snapshot_mode
         parent = self.ckpt.restore()
@@ -299,7 +289,7 @@ class ReplayJob:
                 max_records=None,  # snapshot is exempt from maxRecords
             )
             t_snap = time.monotonic()
-            snap_res = sub._apply(snapshot, route, ddl_source=False)
+            snap_res = sub.run(snapshot, ddl_source=False)
             snap_elapsed = time.monotonic() - t_snap
             metrics["snapshot_seconds"] = round(snap_elapsed, 3)
             if snap_elapsed > cfg.max_snapshot_duration_seconds:
@@ -315,6 +305,12 @@ class ReplayJob:
             (f.name, str(f.type))
             for f in payload_fields_of(_env_schema(envelopes))
         ]
+        if ddl_source is None:
+            # scan envelopes for DDL only if they have a ddl column;
+            # otherwise carry the registry forward
+            sch = envelopes.schema()
+            if sch is None or "ddl" not in sch.names:
+                ddl_source = False
         if ddl_source is False:
             reg = (SchemaRegistry.from_snapshot(prior) if prior
                    else SchemaRegistry(base_fields))
@@ -399,27 +395,16 @@ class ReplayJob:
         wal_paths: str | list[str],
         *,
         snapshot_paths: str | list[str] | None = None,
-        streaming: bool = False,
-        override_num_blocks: int | None = None,
         **kw,
     ) -> ReplayResult:
         """Convenience: replay Parquet WAL segments by path, with the
         DDL scan automatically column-pruned at the read (the projection
-        the Ray 2.49 planner won't derive itself).  ``streaming=True``
-        routes through the barrier-free actor-pool apply
-        (``run_streaming``) — the fast path for DDL-light streams."""
-        read_kw = (
-            {"override_num_blocks": override_num_blocks}
-            if override_num_blocks
-            else {}
-        )
+        the Ray 2.49 planner won't derive itself)."""
         from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
         # apply reads only APPLY_COLUMNS — prune at the read so
         # before-images / source structs never leave the file footers
-        env = ray.data.read_parquet(
-            wal_paths, columns=list(APPLY_COLUMNS), **read_kw
-        )
+        env = ray.data.read_parquet(wal_paths, columns=list(APPLY_COLUMNS))
         ddl = ray.data.read_parquet(
             wal_paths, columns=["lsn", "seq", "op", "ddl"]
         )
@@ -428,8 +413,6 @@ class ReplayJob:
             if snapshot_paths is not None
             else None
         )
-        if streaming:
-            return self.run_streaming(env, snapshot=snap, ddl_source=ddl, **kw)
         return self.run(env, snapshot=snap, ddl_source=ddl, **kw)
 
     def run_segments(
@@ -438,8 +421,10 @@ class ReplayJob:
         **kw,
     ) -> list[ReplayResult]:
         """ON_EACH_BATCH commit cadence (ST4): one atomic commit per
-        segment group; ON_STOP is a single ``run`` over the union.  Both
-        cadences converge to the identical final state (idempotency).
+        segment group, with the ``max_duration_seconds`` budget checked
+        between commits; ON_STOP is a single ``run`` over the union.
+        Both cadences converge to the identical final state
+        (idempotency).
 
         PRECONDITION: segment groups must be applied in ascending LSN
         order (the log-tail contract, `ChangeConsumer.java:70-87`) — the
@@ -447,17 +432,11 @@ class ReplayJob:
         older segment AFTER a newer one would filter the older events as
         already-applied.  Within one group, any order is fine (the merge
         sorts by (lsn, seq) per key)."""
-        return self._cadence(segment_groups, lambda ds: self.run(ds, **kw))
-
-    def _cadence(self, segment_groups: list, commit) -> list[ReplayResult]:
-        """The commit cadence of both routes' segment entry points:
-        ``commit(ds)`` once over the union under ON_STOP, once per group
-        under ON_EACH_BATCH."""
         if self.cfg.offset_commit_mode == OffsetCommitMode.ON_STOP:
             ds = segment_groups[0]
             for other in segment_groups[1:]:
                 ds = ds.union(other)
-            return [commit(ds)]
+            return [self.run(ds, **kw)]
         # ON_EACH_BATCH honors the soft wall budget between commits —
         # the maxDuration stop condition (AbstractDebeziumTask.java:611-634);
         # a later run resumes from the committed ledger.
@@ -470,57 +449,20 @@ class ReplayJob:
                 and time.monotonic() - t0 >= self.cfg.max_duration_seconds
             ):
                 break
-            out.append(commit(g))
+            out.append(self.run(g, **kw))
         return out
 
-    def run_streaming(
-        self,
-        envelopes: "ray.data.Dataset",
-        *,
-        snapshot: "ray.data.Dataset | None" = None,
-        num_shards: int | None = None,
-        ddl_source: "ray.data.Dataset | bool | None" = False,
-        **kw,
-    ) -> "ReplayResult":
-        """Barrier-free actor-pool apply (SURVEY.md §7.1's merge-actor
-        architecture): decode tasks stream pre-reduced slices into
-        bucket-range shard actors while the scan runs — no sort barrier,
-        ONE atomic commit.  Identical lake layout / manifest / resume
-        semantics as ``run`` (LWW is order-independent, so shards accept
-        events in any arrival order); schema-history DDL replays before
-        the stream when ``ddl_source`` is given.  See
-        ``pipelines/streaming_apply.py``."""
-        from plugin_debezium_ray.pipelines.streaming_apply import run_streaming
-
-        return run_streaming(
-            self, envelopes, snapshot=snapshot, num_shards=num_shards,
-            ddl_source=ddl_source, **kw
-        )
-
-    def run_streaming_segments(
-        self, segments: "list", **kw
-    ) -> "list[ReplayResult]":
-        """``run_segments`` on the push route: all segments flow through
-        ONE long-lived shard pool under the same commit cadence (the
-        multi-commit soak surface — see
-        ``pipelines/streaming_apply.run_streaming_segments``)."""
-        from plugin_debezium_ray.pipelines.streaming_apply import (
-            run_streaming_segments,
-        )
-
-        return run_streaming_segments(self, segments, **kw)
-
-    def streaming_session(self, **kw) -> "object":
-        """Open a persistent actor-pool apply session (one shard pool,
-        ``apply_segment()`` per atomic commit, ``close()``/context
-        manager to tear down) — the engine handle a continuous ingester
-        holds for its lifetime.  See
+    def streaming_session(self, *, num_shards: int | None = None) -> "object":
+        """Open the job's shard pool (``num_shards`` MergeShard actors):
+        until it is closed, every commit of this job takes the push
+        route.  ``close()``/context manager tears the pool down — the
+        engine handle a continuous ingester holds for its lifetime.  See
         ``pipelines/streaming_apply.StreamingSession``."""
         from plugin_debezium_ray.pipelines.streaming_apply import (
             StreamingSession,
         )
 
-        return StreamingSession(self, **kw)
+        return StreamingSession(self, num_shards=num_shards)
 
     # ------------------------------------------------------------ poll
 
@@ -719,7 +661,6 @@ class ReplayJob:
         wal_dir: str,
         *,
         poll_interval: float = 0.5,
-        streaming: bool = False,
         max_wait_seconds: float | None = None,
         max_duration_seconds: float | None = None,
         stop_event=None,
@@ -737,24 +678,17 @@ class ReplayJob:
         idle clock excludes commit time (idle = no new segment for
         ``max_wait`` after the previous batch finished committing).
 
-        ``streaming=True`` keeps ONE persistent shard pool
-        (``StreamingSession``) across all commits instead of paying
-        actor startup per arrival batch — the right mode for a
-        long-running follower.
+        The follower holds ONE shard pool (``StreamingSession``) for its
+        whole lifetime, so every commit takes the push route without
+        paying actor startup per arrival batch; each commit is a
+        ``run_from_paths`` over the new segments (DDL they carry evolves
+        the schema).
 
         Snapshot bootstrap: a follower tails the log only.  To start
         from a consistent snapshot, run ``run``/``run_from_paths`` with
         ``snapshot`` once (commit v1), then follow — the ledger carries
         forward."""
-        session = None
-        if streaming:
-            session_kw = {
-                k: run_kw.pop(k)
-                for k in ("num_shards", "compact_rows", "ddl_source")
-                if k in run_kw
-            }
-            session = self.streaming_session(**session_kw)
-        try:
+        with self.streaming_session():
             for new, _wall_left in self._watch_segments(
                 wal_dir,
                 poll_interval=poll_interval,
@@ -762,22 +696,7 @@ class ReplayJob:
                 max_duration_seconds=max_duration_seconds,
                 stop_event=stop_event,
             ):
-                if session is not None:
-                    from plugin_debezium_ray.stages.apply import (
-                        APPLY_COLUMNS,
-                    )
-
-                    cols = list(APPLY_COLUMNS)
-                    if session.ddl_source is not False:
-                        cols.append("ddl")  # per-segment DDL scan
-                    yield session.apply_segment(
-                        ray.data.read_parquet(new, columns=cols)
-                    )
-                else:
-                    yield self.run_from_paths(new, **run_kw)
-        finally:
-            if session is not None:
-                session.close()
+                yield self.run_from_paths(new, **run_kw)
 
     # ------------------------------------------------------- read back
 

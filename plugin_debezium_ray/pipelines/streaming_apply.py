@@ -1,6 +1,6 @@
 """Streaming actor-pool apply — the push route of the apply core.
 
-Every commit runs ``ReplayJob._apply``: prepare → route → commit
+Every commit runs ``ReplayJob.run``: prepare → route → commit
 (``pipelines/replay.py``).  The sort route sends events to buckets with
 ONE sort-based ``groupby`` — correct and spill-friendly, but the sort is
 a barrier: no merge work starts until every decode task finishes, and
@@ -28,11 +28,11 @@ the two paths.  The restore, schema replay, stop and snapshot rules and
 the manifest commit around the route are the shared ``_prepare`` /
 ``_commit``.
 
-``StreamingSession`` owns one pool across commits (``apply_segment`` per
-commit); ``run_streaming`` is a one-shot session and
-``run_streaming_segments`` runs a session under ``run_segments``' commit
-cadence.
-The pool serves one lake: multi-table capture
+``StreamingSession`` owns one pool across commits.  While it is open,
+its job routes every commit here (``run``, ``run_segments``,
+``run_from_paths``, ``poll``; ``follow_apply`` holds one for its whole
+lifetime); a one-shot push is ``with job.streaming_session():
+job.run(ds)``.  The pool serves one lake: multi-table capture
 (``pipelines/multi_table.py``) runs each stream through the core on its
 own.
 
@@ -55,6 +55,7 @@ import ray
 import ray.data
 
 from plugin_debezium_ray.config import CaptureConfig
+from plugin_debezium_ray.pipelines.replay import _sort_route
 from plugin_debezium_ray.stages.apply import (
     BUCKET_COL,
     WEIGHT_COL,
@@ -147,6 +148,10 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
     return decode_and_push
 
 
+#: buffered rows past which a shard winner-reduces what it holds
+COMPACT_ROWS = 400_000
+
+
 @ray.remote
 class MergeShard:
     """Owns buckets ``[lo, hi)``: accumulates pre-reduced event slices,
@@ -156,7 +161,7 @@ class MergeShard:
     bucket."""
 
     def __init__(self, key_cols: tuple[str, ...], lo: int, hi: int,
-                 compact_rows: int = 400_000):
+                 compact_rows: int = COMPACT_ROWS):
         self.key_cols = tuple(key_cols)
         self.lo, self.hi = lo, hi
         self.tables: list[pa.Table] = []
@@ -179,8 +184,7 @@ class MergeShard:
         and is cleared at each ``finalize``: the decode stream's
         ``sum("n")`` barrier completes before finalize runs, so no task
         of a committed segment can retry afterwards, which bounds the
-        set for arbitrarily long multi-commit sessions
-        (``run_streaming_segments``)."""
+        set for arbitrarily long multi-commit sessions."""
         if push_id is not None:
             if push_id in self.seen_pushes:
                 return 0
@@ -273,49 +277,7 @@ class MergeShard:
         )(merged).to_pylist()
 
 
-#: below this many events ``run_streaming`` takes the sort route: the
-#: shard-actor startup and the two ``ray.get`` barriers dominate tiny
-#: inputs (measured 1.59 s vs 0.90 s on a 120-row final table), while
-#: the push route wins 8.7× at 50M events
-SMALL_JOB_EVENTS = 500_000
-
-
-def run_streaming(
-    job,
-    envelopes: "ray.data.Dataset",
-    *,
-    snapshot: "ray.data.Dataset | None" = None,
-    ddl_source: "ray.data.Dataset | bool | None" = False,
-    num_shards: int | None = None,
-    compact_rows: int = 400_000,
-    estimated_events: int | None = None,
-) -> "object":
-    """Barrier-free replay, a one-shot ``StreamingSession``: decode tasks
-    push pre-reduced slices to the shard actors while the stream flows;
-    ONE atomic commit at the end.
-
-    ``job`` is a ``ReplayJob``; the result is a ``ReplayResult``
-    interchangeable with ``job.run(...)``, and ``snapshot`` /
-    ``ddl_source`` mean the same as there, except that ``ddl_source``
-    defaults to ``False`` (no DDL scan).
-
-    ``estimated_events``: a cheap caller-side size hint (parquet
-    metadata row count — NOT ``ds.count()``, which would execute a
-    transformed pipeline twice).  Below ``SMALL_JOB_EVENTS`` the job
-    delegates to the sort route — identical lake layout either way."""
-    if estimated_events is not None and estimated_events < SMALL_JOB_EVENTS:
-        return job.run(envelopes, snapshot=snapshot, ddl_source=ddl_source)
-    with StreamingSession(
-        job, num_shards=num_shards, compact_rows=compact_rows
-    ) as session:
-        return job._apply(
-            envelopes, session._push, snapshot=snapshot, ddl_source=ddl_source
-        )
-
-
-def _make_shard_pool(
-    cfg: CaptureConfig, num_shards: int | None, compact_rows: int
-):
+def _make_shard_pool(cfg: CaptureConfig, num_shards: int | None):
     """``StreamingSession``'s MergeShard pool + bucket→shard routing
     table."""
     cpus = int(ray.cluster_resources().get("CPU", 8))
@@ -335,7 +297,7 @@ def _make_shard_pool(
             num_cpus=shard_cpus, scheduling_strategy="SPREAD",
         ).remote(
             cfg.key_cols, lo, min(lo + per, cfg.num_buckets),
-            compact_rows=compact_rows,
+            compact_rows=COMPACT_ROWS,
         )
         for lo in los
     ]
@@ -343,48 +305,32 @@ def _make_shard_pool(
 
 
 class StreamingSession:
-    """Persistent actor-pool apply session: ONE long-lived shard pool,
-    one atomic manifest commit per ``apply_segment`` call — the engine
-    a continuous ingester (``ReplayJob.follow_apply``) keeps open for
-    its whole lifetime instead of paying shard-actor startup per
-    arrival batch.
-
-    ``ddl_source``: ``False`` (default) carries each commit's schema
-    registry forward from the prior snapshot (DDL-free sources skip the
-    scan); ``None`` replays DDL found in EACH segment into the registry
-    before that segment applies — mid-session schema evolution, same ST3
-    contract as ``run_segments`` on the sort path.
+    """The job's live shard pool: ONE long-lived pool of MergeShard
+    actors.  While the session is open, every commit of its job takes
+    the push route (``_push``), one atomic manifest commit each — the
+    engine a continuous ingester (``ReplayJob.follow_apply``) keeps open
+    for its whole lifetime instead of paying shard-actor startup per
+    arrival batch.  A job has at most one open session.
 
     The pool survives across commits (the multi-commit soak surface):
     ``seen_pushes``/``events_seen`` reset at each commit boundary,
     incremental compaction keeps running, and each ``finalize`` drains
-    the buffered rows into that segment's commit.  State after N commits
-    is identical to N separate ``run_streaming`` calls (and to the sort
-    path) — same lake bytes, same manifest-chain semantics.
+    the buffered rows into that commit.  State after N commits is
+    identical to the sort route's — same lake bytes, same manifest-chain
+    semantics.  Use as a context manager (``close()`` kills the shard
+    actors and hands the job back to the sort route)."""
 
-    Each commit is the shared apply core (``ReplayJob._apply``) with the
-    session's push route, so ``max_records`` and ``snapshot_mode`` hold
-    as on the sort route.  Use as a context manager (``close()`` kills
-    the shard actors)."""
-
-    def __init__(
-        self,
-        job,
-        *,
-        num_shards: int | None = None,
-        compact_rows: int = 400_000,
-        ddl_source: "bool | None" = False,
-    ):
+    def __init__(self, job, *, num_shards: int | None = None):
+        if job._route is not _sort_route:
+            raise RuntimeError("a StreamingSession is already open on this job")
         self.job = job
-        self.ddl_source = ddl_source
-        self.shards, self.shard_of = _make_shard_pool(
-            job.cfg, num_shards, compact_rows
-        )
+        self.shards, self.shard_of = _make_shard_pool(job.cfg, num_shards)
         self.commits = 0
         self._closed = False
         # asked once at pool start (shards never move), read at the
         # first commit so actor start-up overlaps that commit's stream
         self._node_refs = [s.node_id.remote() for s in self.shards]
+        job._route = self._push
 
     @functools.cached_property
     def shard_nodes(self) -> int:
@@ -394,19 +340,15 @@ class StreamingSession:
 
     def apply_segment(self, seg) -> "object":
         """Stream one WAL segment through the live pool and commit it
-        atomically; returns that commit's ``ReplayResult``."""
+        atomically (``job.run(seg)``); returns that commit's
+        ``ReplayResult``."""
         if self._closed:
             raise RuntimeError("StreamingSession is closed")
-        self.commits += 1
-        return self.job._apply(
-            seg,
-            self._push,
-            ddl_source=self.ddl_source,
-            metrics={"streaming_session_commit": self.commits},
-        )
+        return self.job.run(seg)
 
     def _push(self, prep) -> tuple[list[dict], dict]:
         """The push route: decode+push stream → per-shard finalize."""
+        self.commits += 1
         t_decode = time.monotonic()
         prep.ds.map_batches(
             make_decode_push(prep.project(), self.shards, self.shard_of),
@@ -423,6 +365,7 @@ class StreamingSession:
             "decode_seconds": round(t_final - t_decode, 4),
             "finalize_seconds": round(time.monotonic() - t_final, 4),
             "streaming_apply": True,
+            "streaming_session_commit": self.commits,
             "num_shards": len(self.shards),
             "shard_nodes": self.shard_nodes,
         }
@@ -430,6 +373,7 @@ class StreamingSession:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
+            self.job._route = _sort_route
             for s in self.shards:
                 ray.kill(s)
 
@@ -438,24 +382,3 @@ class StreamingSession:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def run_streaming_segments(
-    job,
-    segments: "list",
-    *,
-    num_shards: int | None = None,
-    compact_rows: int = 400_000,
-    ddl_source: "bool | None" = False,
-) -> "list":
-    """``run_segments`` on the push route: the segments flow through ONE
-    long-lived shard pool under the same commit cadence — an atomic
-    manifest commit after each segment under ON_EACH_BATCH (the
-    reference's per-batch offset commit, `AbstractDebeziumTask.java:640-693`,
-    with the ``max_duration_seconds`` budget checked between commits),
-    one commit over the union under ON_STOP."""
-    with StreamingSession(
-        job, num_shards=num_shards, compact_rows=compact_rows,
-        ddl_source=ddl_source,
-    ) as session:
-        return job._cadence(segments, session.apply_segment)

@@ -81,6 +81,20 @@ def _one_chunk(col) -> pa.Array:
     return col
 
 
+def _large_strings(t: pa.Table) -> pa.Table:
+    """``t`` with its ``string`` columns widened to ``large_string``: one
+    string width in the lake, whichever width an input arrived in (a
+    generated WAL carries ``large_string``, a row-level Ray ``filter``
+    hands back ``string``)."""
+    if not any(pa.types.is_string(f.type) for f in t.schema):
+        return t
+    return t.cast(pa.schema(
+        [f.with_type(pa.large_string()) if pa.types.is_string(f.type) else f
+         for f in t.schema],
+        metadata=t.schema.metadata,
+    ))
+
+
 def _composite_key(t: pa.Table | dict, key_cols: tuple[str, ...]) -> np.ndarray:
     cols = [
         pc.cast(t[c] if isinstance(t, pa.Table) else t[c], pa.string())
@@ -415,15 +429,15 @@ class BucketMerge:
         p_off = np.cumsum(n_prior) - n_prior
         u_off = np.cumsum(n_up) - n_up
         for i, b in enumerate(blist):
-            merged = upserts.slice(int(u_off[i]), int(n_up[i]))
+            parts = [upserts.slice(int(u_off[i]), int(n_up[i]))]
             if b in priors:
                 keep = ~dead[p_off[i] : p_off[i] + n_prior[i]]
-                # promote unifies schemas across evolution epochs: columns
-                # added since the prior commit read back as null in old rows
-                merged = pa.concat_tables(
-                    [priors[b].filter(pa.array(keep)), merged],
-                    promote_options="default",
-                )
+                parts.insert(0, priors[b].filter(pa.array(keep)))
+            # promote unifies schemas across evolution epochs: columns
+            # added since the prior commit read back as null in old rows
+            merged = pa.concat_tables(
+                [_large_strings(t) for t in parts], promote_options="default"
+            )
             rows.append(len(merged))
             paths.append(self._write(b, merged))
         fps = [
@@ -449,9 +463,11 @@ class BucketMerge:
 
     def _read_prior(self, bucket: int) -> pa.Table | None:
         """The bucket's committed file under the current column names, or
-        None for a bucket without one."""
+        None for a bucket without one.  A committed file that is missing
+        raises (``FileNotFoundError``): merging the bucket as empty would
+        silently drop its rows."""
         path = self.prior_paths.get(bucket)
-        if path is None or not os.path.exists(path):
+        if path is None:
             return None
         prior = pq.read_table(path)
         if self.renames:

@@ -8,7 +8,9 @@ commit race, or crashed before its manifest, references nothing).
 ``vacuum`` deletes files not referenced by the newest manifest (and
 optionally keeps the last K manifests for time travel), never touching
 anything the live manifest points at — the safe-GC contract of
-manifest-gated visibility.
+manifest-gated visibility.  Attempt directories of versions newer than
+the one it restored belong to a writer still in flight and are left
+alone.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ from __future__ import annotations
 import glob
 import json
 import os
+import re
 
 from plugin_debezium_ray.state.checkpoint import CheckpointManager
+
+
+#: the commit version in a lake path: ``data/v000003-1a2b3c4d`` or
+#: ``_meta/manifest-v000003.json.k3j2l1x_``
+_VERSION = re.compile(r"v(\d+)")
 
 
 def list_history(table_dir: str) -> list[dict]:
@@ -62,7 +70,13 @@ def vacuum(
     file per touched bucket) per commit, so periodic
     ``vacuum(keep_manifests=K, keep_every=M)`` bounds retained state at
     K + versions/M manifests while keeping time travel to the sparse
-    checkpoints exact."""
+    checkpoints exact.
+
+    Only versions up to the newest commit are swept: a ``data/vN-*``
+    directory with N above it is a running writer's next commit, whose
+    files no manifest references YET.  At or below it, crash debris goes
+    too: partial ``*.parquet.tmp`` bucket files and manifest temp files
+    ``_meta/manifest-vN.json.*`` left before their link."""
     ck = CheckpointManager(table_dir)
     current = ck.restore()
     if current is None:
@@ -87,10 +101,24 @@ def vacuum(
         for b in m.get("buckets", {}).values():
             referenced.add(os.path.realpath(b["path"]))
 
+    def swept(pattern: str) -> list[str]:
+        """Paths matching ``pattern`` whose version is at most the
+        restored one (the ``vN`` in their name)."""
+        out = []
+        for p in glob.glob(os.path.join(table_dir, pattern)):
+            m = _VERSION.search(os.path.relpath(p, table_dir))
+            if m and int(m.group(1)) <= int(current["version"]):
+                out.append(p)
+        return out
+
+    dirs = swept(os.path.join("data", "v*"))
+    # bucket files (``*.parquet``), partial ones (``*.parquet.tmp``) and
+    # manifest temp files
+    files = [f for d in dirs for f in glob.glob(os.path.join(d, "*.parquet*"))]
+    files += swept(os.path.join("_meta", "manifest-v*.json.*"))
     deleted = freed = kept = 0
-    for p in glob.glob(os.path.join(table_dir, "data", "v*", "*.parquet")):
-        rp = os.path.realpath(p)
-        if rp in referenced:
+    for p in files:
+        if os.path.realpath(p) in referenced:
             kept += 1
             continue
         freed += os.path.getsize(p)
@@ -103,7 +131,7 @@ def vacuum(
             if h["version"] not in keep_versions:
                 os.unlink(h["path"])
         # remove now-empty version dirs
-        for d in glob.glob(os.path.join(table_dir, "data", "v*")):
+        for d in dirs:
             if not os.listdir(d):
                 os.rmdir(d)
     return {"deleted_files": deleted, "freed_bytes": freed, "kept_files": kept}

@@ -23,3 +23,10 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+def pushed(job, call, *args, **kw):
+    """``call(*args, **kw)`` — a bound method of ``job`` — with a shard
+    pool open on ``job``, so its commits take the push route."""
+    with job.streaming_session():
+        return call(*args, **kw)

@@ -168,9 +168,8 @@ class TestFollowApply:
 
     def test_streaming_follower_mid_stream_ddl(self, tmp_path):
         """A DDL-bearing segment arriving mid-watch evolves the lake
-        schema through the persistent session (ddl_source=None — the
-        per-segment DDL scan reads the ddl column the follower includes
-        in its pruned read)."""
+        schema through the persistent session (each commit's
+        ``run_from_paths`` scans the new segments' ddl column)."""
         import pandas as pd
 
         from plugin_debezium_ray.sources.binlog import ddl_events_table
@@ -198,8 +197,7 @@ class TestFollowApply:
         job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "lake"))
         results = list(
             job.follow_apply(str(wal), poll_interval=0.1,
-                             max_wait_seconds=2.0, streaming=True,
-                             ddl_source=None, num_shards=2)
+                             max_wait_seconds=2.0)
         )
         t.join()
         assert sum(r.events_seen for r in results) == 400
@@ -208,9 +206,8 @@ class TestFollowApply:
         assert set(tab["license"]) == {"unknown"}
 
     def test_streaming_follower_one_pool_same_lake(self, tmp_path):
-        """follow_apply(streaming=True) holds ONE persistent shard pool
-        across arrival commits and produces the same lake as the
-        sort-path follower."""
+        """follow_apply holds ONE persistent shard pool across arrival
+        commits and produces the same lake as a sort-route run."""
         wal = tmp_path / "wal"
         wal.mkdir()
         _write_segment(str(wal), 0, 250, base_lsn=1)
@@ -224,8 +221,7 @@ class TestFollowApply:
         job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "s"))
         results = list(
             job.follow_apply(str(wal), poll_interval=0.1,
-                             max_wait_seconds=2.0, streaming=True,
-                             num_shards=2)
+                             max_wait_seconds=2.0)
         )
         t.join()
         assert len(results) == 2

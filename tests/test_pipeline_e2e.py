@@ -11,6 +11,7 @@ import pytest
 
 import ray.data
 
+from conftest import pushed
 from plugin_debezium_ray.config import CaptureConfig, OffsetCommitMode, SnapshotMode
 from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import (
@@ -152,13 +153,17 @@ class TestStopConditions:
 
 
 class _SnapshotModeCases:
-    """The snapshot-mode rules, run through the entry point ``ENGINE``:
-    both routes share them (a snapshot is passed in every case)."""
+    """The snapshot-mode rules, on the sort route or, with ``PUSH``, the
+    push route: both routes share them (a snapshot is passed in every
+    case)."""
 
-    ENGINE = "run"
+    #: run with a shard pool open on the job (the push route)
+    PUSH = False
 
     def _apply(self, job, env, snap):
-        return getattr(job, self.ENGINE)(env, snapshot=snap)
+        if self.PUSH:
+            return pushed(job, job.run, env, snapshot=snap)
+        return job.run(env, snapshot=snap)
 
     def test_never_tail_only(self, tmp_path, env, snap):
         job = ReplayJob(
@@ -200,7 +205,7 @@ class TestSnapshotModes(_SnapshotModeCases):
 
 
 class TestSnapshotModesPushRoute(_SnapshotModeCases):
-    ENGINE = "run_streaming"
+    PUSH = True
 
 
 class TestSchemaEvolution:
@@ -313,8 +318,8 @@ class TestAllSixOps:
         assert_parity(a, oracle)
         # streaming engine: same oracle, byte-identical lake
         b = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "b"))
-        res_b = b.run_streaming(
-            self._env(), snapshot=snapshot_envelopes(N_KEYS, seed=SEED)
+        res_b = pushed(
+            b, b.run, self._env(), snapshot=snapshot_envelopes(N_KEYS, seed=SEED)
         )
         assert_parity(b, oracle)
         assert data_file_hashes(str(tmp_path / "a")) == data_file_hashes(

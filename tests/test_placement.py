@@ -36,7 +36,8 @@ from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import binlog, oracle_apply
 
 job = ReplayJob(CaptureConfig(num_buckets=12), sys.argv[1])
-res = job.run_streaming(binlog(3000, 250, seed=7), num_shards=6)
+with job.streaming_session(num_shards=6):
+    res = job.run(binlog(3000, 250, seed=7))
 state = {
     (r.repo, r.path): hashlib.sha256(r.content.encode()).hexdigest()
     for r in job.read_table().to_pandas().itertuples()

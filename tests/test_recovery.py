@@ -13,6 +13,7 @@ import shutil
 
 import pytest
 
+from conftest import pushed
 from plugin_debezium_ray.config import CaptureConfig
 from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import binlog, oracle_apply
@@ -113,10 +114,10 @@ def test_streaming_crash_between_data_write_and_commit(tmp_path):
     base = binlog(1200, 100, seed=41)
     tail = binlog(600, 100, seed=42, base_lsn=50_000)
     job = ReplayJob(CaptureConfig(num_buckets=8), lake)
-    job.run_streaming(base)
+    pushed(job, job.run, base)
     v1_rows = job.read_table().count()
 
-    job.run_streaming(tail)
+    pushed(job, job.run, tail)
     v2_hashes = {
         b: hashlib.sha256(open(p, "rb").read()).hexdigest()
         for b, p in job.ckpt.bucket_paths().items()
@@ -130,7 +131,7 @@ def test_streaming_crash_between_data_write_and_commit(tmp_path):
     assert job_after.ckpt.current_version() == 1
     assert job_after.read_table().count() == v1_rows
 
-    res = job_after.run_streaming(tail)
+    res = pushed(job_after, job_after.run, tail)
     assert res.version == 2 and res.events_seen == 600
     new_hashes = {
         b: hashlib.sha256(open(p, "rb").read()).hexdigest()
@@ -196,8 +197,8 @@ def test_two_writers_one_commit_wins(tmp_path):
     cfg = CaptureConfig(num_buckets=8)
     ReplayJob(cfg, lake).run(_segment(0, 150), ddl_source=False)
     a, b = ReplayJob(cfg, lake), ReplayJob(cfg, lake)
-    prep_a = a._prepare(_segment(150, 300), None, False, _sort_route)
-    prep_b = b._prepare(_segment(150, 300, SEED + 1), None, False, _sort_route)
+    prep_a = a._prepare(_segment(150, 300), None, False)
+    prep_b = b._prepare(binlog(N, K, seed=SEED + 1), None, False)
     assert prep_a.version == prep_b.version == 2
 
     rows, _ = _sort_route(prep_a)
@@ -209,6 +210,22 @@ def test_two_writers_one_commit_wins(tmp_path):
         b._commit(prep_b, rows, {}, time.monotonic())
     assert _sha(won) == won_sha
     assert a.ckpt.current_version() == 2 and a.ckpt.bucket_paths() == won
+    assert _state(lake) == _oracle(300)
+
+
+@pytest.mark.parametrize("first", ["filtered", "generated"])
+def test_string_widths_mix_on_one_lake(tmp_path, first):
+    """The generator emits ``content`` as ``large_string`` and a Ray row
+    ``filter`` hands it back as ``string``: a lake written from either
+    kind of input merges the other, and the state is the oracle's."""
+    lake = str(tmp_path)
+    cfg = CaptureConfig(num_buckets=8)
+    # binlog(600) is the first 600 events of the log: lsn 1..150
+    head = _segment(0, 150) if first == "filtered" else binlog(600, K, seed=SEED)
+    tail = binlog(N, K, seed=SEED) if first == "filtered" else _segment(150, 300)
+    ReplayJob(cfg, lake).run(head, ddl_source=False)
+    res = ReplayJob(cfg, lake).run(tail, ddl_source=False)
+    assert res.version == 2 and res.events_seen == 600
     assert _state(lake) == _oracle(300)
 
 

@@ -12,6 +12,7 @@ Two mechanisms under test:
 import numpy as np
 import pyarrow as pa
 
+from conftest import pushed
 from plugin_debezium_ray.config import CaptureConfig
 from plugin_debezium_ray.functions.hashing import bucket_of
 from plugin_debezium_ray.pipelines.replay import ReplayJob
@@ -81,7 +82,7 @@ def test_streaming_apply_under_key_skew():
     d = tempfile.mkdtemp(prefix="skewstream_", dir="/tmp")
     try:
         job = ReplayJob(CaptureConfig(num_buckets=8), d)
-        job.run_streaming(binlog(6000, 300, seed=31, key_skew=True))
+        pushed(job, job.run, binlog(6000, 300, seed=31, key_skew=True))
         oracle = oracle_apply(6000, 300, seed=31, key_skew=True,
                               include_snapshot=False)
         got = {
@@ -118,7 +119,7 @@ def test_hot_key_wal_parity():
     d = tempfile.mkdtemp(prefix="hotkey_", dir="/tmp")
     try:
         job = ReplayJob(CaptureConfig(num_buckets=8), d)
-        job.run_streaming(binlog(4000, 300, seed=21, hot_key_frac=0.5))
+        pushed(job, job.run, binlog(4000, 300, seed=21, hot_key_frac=0.5))
         oracle = oracle_apply(4000, 300, seed=21, hot_key_frac=0.5,
                               include_snapshot=False)
         got = {

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import pushed
 from plugin_debezium_ray.config import (
     REFERENCE_DEFAULT_MAX_SNAPSHOT_DURATION_SECONDS,
     REFERENCE_DEFAULT_MAX_WAIT_SECONDS,
@@ -205,5 +206,5 @@ class TestMaxDurationSegments:
         assert len(out) == 1  # budget hit after the first commit
         # the push route's segment entry point keeps the same budget
         push = ReplayJob(job.cfg, str(tmp_path / "push"))
-        assert len(push.run_streaming_segments(segs)) == 1
+        assert len(pushed(push, push.run_segments, segs)) == 1
 

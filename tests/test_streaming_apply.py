@@ -9,6 +9,7 @@ import pytest
 
 import ray.data
 
+from conftest import pushed
 from plugin_debezium_ray.config import CaptureConfig, OffsetCommitMode
 from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import (
@@ -44,8 +45,8 @@ class TestStreamingApply:
             ddl_source=False,
         )
         b = ReplayJob(CaptureConfig(num_buckets=16), str(tmp_path / "b"))
-        res = b.run_streaming(
-            binlog(N_EVENTS, N_KEYS, seed=SEED),
+        res = pushed(
+            b, b.run, binlog(N_EVENTS, N_KEYS, seed=SEED),
             snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
         )
         assert res.events_seen == N_EVENTS + N_KEYS
@@ -55,42 +56,24 @@ class TestStreamingApply:
         assert _bucket_hashes(a) == _bucket_hashes(b)
         assert set(_state(b)) == set(oracle_apply(N_EVENTS, N_KEYS, seed=SEED))
 
-    def test_small_job_crossover_takes_sort_path(self, tmp_path):
-        """An ``estimated_events`` hint below the threshold delegates to
-        the sort path (shard-actor startup dominates tiny jobs — VERDICT
-        r2 #4); without a hint the streaming engine runs.  Same lake
-        either way."""
-        a = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "a"))
-        res_a = a.run_streaming(
-            binlog(500, 60, seed=SEED), estimated_events=500
-        )
-        assert not res_a.metrics.get("streaming_apply")  # sort path ran
-        b = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "b"))
-        res_b = b.run_streaming(binlog(500, 60, seed=SEED))
-        assert res_b.metrics.get("streaming_apply") is True
-        assert _state(a) == _state(b)
-        assert _bucket_hashes(a) == _bucket_hashes(b)
-
     def test_rerun_applies_zero(self, tmp_path):
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path))
-        job.run_streaming(
-            binlog(N_EVENTS, N_KEYS, seed=SEED),
+        pushed(
+            job, job.run, binlog(N_EVENTS, N_KEYS, seed=SEED),
             snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
         )
         h1 = _bucket_hashes(job)
-        res2 = job.run_streaming(binlog(N_EVENTS, N_KEYS, seed=SEED))
+        res2 = pushed(job, job.run, binlog(N_EVENTS, N_KEYS, seed=SEED))
         assert res2.events_seen == 0
         assert _bucket_hashes(job) == h1
 
     def test_incremental_tail_resume(self, tmp_path):
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path))
-        job.run_streaming(
-            binlog(2000, N_KEYS, seed=SEED),
+        pushed(
+            job, job.run, binlog(2000, N_KEYS, seed=SEED),
             snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
         )
-        res = job.run_streaming(
-            binlog(1500, N_KEYS, seed=SEED, base_lsn=2001)
-        )
+        res = pushed(job, job.run, binlog(1500, N_KEYS, seed=SEED, base_lsn=2001))
         assert res.events_seen == 1500 and res.version == 2
         # mirror with the sort path from scratch over the full stream
         ref = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "ref"))
@@ -108,13 +91,11 @@ class TestStreamingApply:
         s1 = binlog(1500, 200, seed=SEED)
         s2 = binlog(1500, 200, seed=SEED, base_lsn=1501)
         a = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "a"))
-        a.run_streaming(s1.union(s2))
+        pushed(a, a.run, s1.union(s2))
         b = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "b"))
-        b.run_streaming(
-            binlog(1500, 200, seed=SEED, base_lsn=1501).union(
-                binlog(1500, 200, seed=SEED)
-            )
-        )
+        pushed(b, b.run, binlog(1500, 200, seed=SEED, base_lsn=1501).union(
+            binlog(1500, 200, seed=SEED)
+        ))
         assert _state(a) == _state(b)
 
     def test_retried_push_is_deduped(self):
@@ -204,22 +185,22 @@ class TestStreamingApply:
         )
         env = binlog(N_EVENTS, N_KEYS, seed=SEED).union(ddl)
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path))
-        job.run_streaming(
-            env, snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
-            ddl_source=env,
-        )
+        pushed(job, job.run, env, snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
+               ddl_source=env)
         tab = job.read_table().to_pandas()
         assert "language" in tab.columns and "lang" not in tab.columns
         assert set(tab["license"]) == {"unknown"}
 
-    def test_compaction_is_lossless(self, tmp_path):
+    def test_compaction_is_lossless(self, tmp_path, monkeypatch):
         """A tiny compact threshold forces many in-flight winner
         reductions (weights must SUM through compaction, not recount);
         result and events_seen must equal the sort path's."""
+        from plugin_debezium_ray.pipelines import streaming_apply as sa
+
+        monkeypatch.setattr(sa, "COMPACT_ROWS", 100)
         job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "d"))
-        res = job.run_streaming(
-            binlog(3000, 50, seed=3), compact_rows=100
-        )  # hot keys: every ingest triggers a compact
+        # hot keys: every ingest triggers a compact
+        res = pushed(job, job.run, binlog(3000, 50, seed=3))
         ref = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "e"))
         ref_res = ref.run(binlog(3000, 50, seed=3), ddl_source=False)
         assert _state(job) == _state(ref)
@@ -240,11 +221,14 @@ class TestStreamingSoak:
             for i in range(n)
         ]
 
-    def test_three_commits_one_pool_parity_and_rerun_zero(self, tmp_path):
+    def test_three_commits_one_pool_parity_and_rerun_zero(
+        self, tmp_path, monkeypatch
+    ):
+        from plugin_debezium_ray.pipelines import streaming_apply as sa
+
+        monkeypatch.setattr(sa, "COMPACT_ROWS", 500)  # real compactions
         job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "soak"))
-        results = job.run_streaming_segments(
-            self._segments(), compact_rows=500  # force real compactions
-        )
+        results = pushed(job, job.run_segments, self._segments())
         assert [r.version for r in results] == [1, 2, 3]
         assert all(r.events_seen == 1200 for r in results)
         assert all(
@@ -262,14 +246,14 @@ class TestStreamingSoak:
 
         # rerun-zero across the SAME multi-commit surface: every segment
         # is at-or-below the ledger now
-        rerun = job.run_streaming_segments(self._segments())
+        rerun = pushed(job, job.run_segments, self._segments())
         assert [r.events_seen for r in rerun] == [0, 0, 0]
         assert _state(job) == _state(ref)
 
     def test_mid_session_ddl_evolves_schema(self, tmp_path):
-        """ddl_source=None replays each segment's DDL before that
-        segment applies — schema evolution ACROSS commits of one
-        streaming session (ST3 parity with run_segments)."""
+        """Each segment's DDL replays before that segment applies —
+        schema evolution ACROSS commits of one streaming session (ST3
+        parity with the sort route)."""
         from plugin_debezium_ray.sources.binlog import ddl_events_table
 
         ddl = ray.data.from_arrow(
@@ -287,7 +271,7 @@ class TestStreamingSoak:
             binlog(1200, 150, seed=SEED, base_lsn=10_001).union(ddl),
         ]
         job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path))
-        results = job.run_streaming_segments(segs, ddl_source=None)
+        results = pushed(job, job.run_segments, segs)
         assert [r.version for r in results] == [1, 2]
         tab = job.read_table().to_pandas()
         assert "language" in tab.columns and "lang" not in tab.columns
@@ -295,13 +279,13 @@ class TestStreamingSoak:
         assert tab["language"].notna().all()  # old rows read renamed
 
     def test_session_state_matches_separate_runs(self, tmp_path):
-        """State after N commits through one pool == N separate
-        run_streaming calls (byte-identical bucket files)."""
+        """State after N commits through one pool == N commits through
+        N one-shot pools (byte-identical bucket files)."""
         a = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "a"))
-        a.run_streaming_segments(self._segments())
+        pushed(a, a.run_segments, self._segments())
         b = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "b"))
         for seg in self._segments():
-            b.run_streaming(seg)
+            pushed(b, b.run, seg)
         assert _state(a) == _state(b)
         assert _bucket_hashes(a) == _bucket_hashes(b)
 
@@ -309,11 +293,11 @@ class TestStreamingSoak:
         """Under ON_STOP the session commits once over the union, like
         ``run_segments``; the state equals the per-segment cadence's."""
         a = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "a"))
-        results = a.run_streaming_segments(self._segments())
+        results = pushed(a, a.run_segments, self._segments())
         assert [r.version for r in results] == [1]
         assert results[0].events_seen == 3 * 1200
         b = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "b"))
-        b.run_streaming_segments(self._segments())
+        pushed(b, b.run_segments, self._segments())
         assert _state(a) == _state(b)
 
 
@@ -335,24 +319,20 @@ class TestShardLoss:
 
         real_make = sa._make_shard_pool
 
-        def sabotaged(cfg, num_shards, compact_rows):
-            shards, shard_of = real_make(cfg, num_shards, compact_rows)
+        def sabotaged(cfg, num_shards):
+            shards, shard_of = real_make(cfg, num_shards)
             ray.kill(shards[0])  # one shard dies before the stream starts
             return shards, shard_of
 
         monkeypatch.setattr(sa, "_make_shard_pool", sabotaged)
         with pytest.raises(Exception):
-            job.run_streaming(
-                binlog(N_EVENTS, N_KEYS, seed=SEED),
-                snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
-            )
+            pushed(job, job.run, binlog(N_EVENTS, N_KEYS, seed=SEED),
+                   snapshot=snapshot_envelopes(N_KEYS, seed=SEED))
         monkeypatch.setattr(sa, "_make_shard_pool", real_make)
         # atomicity: the failed run committed nothing
         assert job.ckpt.restore() is None
-        res = job.run_streaming(
-            binlog(N_EVENTS, N_KEYS, seed=SEED),
-            snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
-        )
+        res = pushed(job, job.run, binlog(N_EVENTS, N_KEYS, seed=SEED),
+                     snapshot=snapshot_envelopes(N_KEYS, seed=SEED))
         assert res.events_seen == N_EVENTS + N_KEYS
         assert set(_state(job)) == set(
             oracle_apply(N_EVENTS, N_KEYS, seed=SEED)
@@ -399,6 +379,96 @@ class TestSessionShardLoss:
         s.close()
         with pytest.raises(RuntimeError):
             s.apply_segment(binlog(10, 5, seed=SEED))
+
+
+class TestOneApplySurface:
+    """The job picks the route: while a shard pool is open on it, every
+    commit of every entry point takes the push route; nothing else about
+    a commit depends on the route."""
+
+    def test_default_ddl_rule_is_the_same_on_both_routes(self, tmp_path):
+        """The same DDL-bearing segments with default arguments: the
+        sort route's ``run_segments`` and a session's commits evolve the
+        schema alike and write the same bucket files."""
+        from plugin_debezium_ray.sources.binlog import ddl_events_table
+
+        ddl = ray.data.from_arrow(ddl_events_table([
+            (10_001, {"action": "add_column", "name": "license",
+                      "type": "string", "default": "unknown"}),
+            (10_001, {"action": "rename_column", "from": "lang",
+                      "to": "language"}),
+        ]))
+        segs = [
+            binlog(1200, 150, seed=SEED),
+            binlog(1200, 150, seed=SEED, base_lsn=10_001).union(ddl),
+        ]
+        cfg = CaptureConfig(num_buckets=8,
+                            offset_commit_mode=OffsetCommitMode.ON_EACH_BATCH)
+        sort = ReplayJob(cfg, str(tmp_path / "sort"))
+        sort.run_segments(segs)
+        push = ReplayJob(cfg, str(tmp_path / "push"))
+        with push.streaming_session() as session:
+            for seg in segs:
+                session.apply_segment(seg)
+        cols = sorted(push.read_table().to_pandas().columns)
+        assert cols == sorted(sort.read_table().to_pandas().columns)
+        assert "language" in cols and "license" in cols and "lang" not in cols
+        assert _bucket_hashes(sort) == _bucket_hashes(push)
+
+    def test_apply_columns_read_commits(self, tmp_path):
+        """An input without a ``ddl`` column (the pruned read the
+        follower and the benchmark use) commits on the sort route."""
+        from plugin_debezium_ray.sources.binlog import write_binlog_segments
+        from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
+
+        wal = write_binlog_segments(str(tmp_path / "wal"), 600, 60,
+                                    seed=SEED, num_segments=2)
+        job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "lake"))
+        res = job.run(ray.data.read_parquet(wal, columns=list(APPLY_COLUMNS)))
+        assert res.version == 1 and res.events_seen == 600
+        assert set(_state(job)) == set(
+            oracle_apply(600, 60, seed=SEED, include_snapshot=False)
+        )
+
+    def test_open_session_routes_every_entry_point(self, tmp_path):
+        import glob
+
+        from plugin_debezium_ray.sources.binlog import write_binlog_segments
+
+        def seg(base_lsn):
+            return binlog(200, 60, seed=SEED, base_lsn=base_lsn)
+
+        def wal(base_lsn):
+            out = write_binlog_segments(
+                str(tmp_path / f"wal{base_lsn}"), 200, 60, seed=SEED,
+                num_segments=1, base_lsn=base_lsn,
+            )
+            return sorted(glob.glob(f"{out}/*.parquet"))
+
+        def every_entry_point(base_lsn):
+            return [
+                job.run(seg(base_lsn)),
+                *job.run_segments([seg(base_lsn + 1000)]),
+                job.run_from_paths(wal(base_lsn + 2000)),
+                job.poll(seg(base_lsn + 3000)),
+            ]
+
+        job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "lake"))
+        with job.streaming_session(num_shards=2):
+            inside = every_entry_point(1)
+        assert [r.metrics.get("streaming_apply") for r in inside] == [True] * 4
+        assert [r.metrics["streaming_session_commit"] for r in inside] == [1, 2, 3, 4]
+        after = every_entry_point(10_001)
+        assert [r.version for r in after] == [5, 6, 7, 8]
+        assert not any(r.metrics.get("streaming_apply") for r in after)
+
+    def test_one_session_per_job(self, tmp_path):
+        job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
+        with job.streaming_session(num_shards=2):
+            with pytest.raises(RuntimeError, match="already open"):
+                job.streaming_session(num_shards=2)
+        with job.streaming_session(num_shards=2):  # closing freed the job
+            pass
 
 
 # -------------------------------------------------------- merge kernel
@@ -580,7 +650,7 @@ class TestRouteParityAcrossEpochs:
         sort = ReplayJob(cfg, str(tmp_path / "sort"))
         assert len(sort.run_segments(self._segments())) == 3
         push = ReplayJob(cfg, str(tmp_path / "push"))
-        assert len(push.run_streaming_segments(self._segments(), ddl_source=None)) == 3
+        assert len(pushed(push, push.run_segments, self._segments())) == 3
 
         def commit(job, v):
             m = job.ckpt.restore_version(v)

@@ -170,3 +170,73 @@ def test_temp_manifest_is_not_history(tmp_path):
     assert job.ckpt.current_version() == 3
     res = job.run(binlog(400, 60, seed=4, base_lsn=30_001), ddl_source=False)
     assert res.version == 4 and job.versions() == [1, 2, 3, 4]
+
+
+def test_vacuum_spares_an_in_flight_commit(tmp_path):
+    """A writer has written its v4 bucket files but not yet its
+    manifest.  Vacuum must leave them: the v4 manifest will point at
+    them, and the next commit merges them as its prior state."""
+    import time
+
+    import pandas as pd
+
+    from plugin_debezium_ray.pipelines.replay import _sort_route
+
+    job = _three_commits(tmp_path)
+    prep = job._prepare(binlog(400, 60, seed=4, base_lsn=30_001), None, False)
+    rows, metrics = _sort_route(prep)
+    vacuum(str(tmp_path), keep_manifests=1)
+    assert job._commit(prep, rows, metrics, time.monotonic()).version == 4
+    res = job.run(binlog(400, 60, seed=5, base_lsn=40_001), ddl_source=False)
+    assert res.version == 5
+
+    ref = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "ref"))
+    for i, seed in enumerate((1, 2, 3, 4, 5)):
+        ref.run(binlog(400, 60, seed=seed, base_lsn=1 + i * 10_000),
+                ddl_source=False)
+
+    def table(j):
+        return (j.read_table().to_pandas().sort_values(["repo", "path"])
+                .reset_index(drop=True))
+
+    pd.testing.assert_frame_equal(table(job), table(ref))
+
+
+def test_missing_committed_file_raises(tmp_path):
+    """A bucket file the manifest references but the disk lacks fails
+    the next merge of that bucket instead of merging it as empty."""
+    import pytest
+
+    job = _three_commits(tmp_path)
+    gone = job.ckpt.bucket_paths()[0]
+    os.remove(gone)
+    with pytest.raises(Exception, match="bucket=00000"):
+        job.run(binlog(400, 60, seed=4, base_lsn=30_001), ddl_source=False)
+    assert job.ckpt.current_version() == 3
+
+
+def test_vacuum_sweeps_crash_debris_up_to_its_version(tmp_path):
+    """Partial bucket files and manifest temp files of versions up to
+    the restored one are crash debris and go; those of a newer version
+    belong to a writer still in flight and stay."""
+    _three_commits(tmp_path)
+    meta = os.path.join(str(tmp_path), "_meta")
+    data = os.path.join(str(tmp_path), "data")
+    old = [
+        os.path.join(meta, "manifest-v000003.json.k3j2l1x_"),
+        os.path.join(data, "v000003-0badf00d", "bucket=00001.parquet.tmp"),
+    ]
+    new = [
+        os.path.join(meta, "manifest-v000004.json.k3j2l1x_"),
+        os.path.join(data, "v000004-0badf00d", "bucket=00000.parquet"),
+        os.path.join(data, "v000004-0badf00d", "bucket=00001.parquet.tmp"),
+    ]
+    for p in old + new:
+        os.makedirs(os.path.dirname(p), exist_ok=True)
+        with open(p, "wb") as f:
+            f.write(b"x")
+    stats = vacuum(str(tmp_path))
+    assert stats["deleted_files"] >= len(old)
+    assert not any(os.path.exists(p) for p in old)
+    assert all(os.path.exists(p) for p in new)
+    assert not os.path.exists(os.path.join(data, "v000003-0badf00d"))
