@@ -63,6 +63,7 @@ from plugin_debezium_ray.state.checkpoint import (
 )
 from plugin_debezium_ray.state.schema_registry import (
     SchemaRegistry,
+    ddl_rows_from_parquet,
     registry_from_envelopes,
 )
 
@@ -229,7 +230,7 @@ class ReplayJob:
         envelopes: "ray.data.Dataset",
         *,
         snapshot: "ray.data.Dataset | None" = None,
-        ddl_source: "ray.data.Dataset | bool | None" = None,
+        ddl_source: "ray.data.Dataset | pa.Table | bool | None" = None,
     ) -> ReplayResult:
         """One batch capture, the apply core behind every entry point:
         restore state → schema replay → route → atomic commit, on the
@@ -237,13 +238,12 @@ class ReplayJob:
         envelopes applies zero events (the CaptureTest.java:97-99
         contract).
 
-        ``ddl_source``: column-pruned Dataset to scan for DDL events
-        (pass ``read_parquet(wal, columns=["lsn","seq","op","ddl"])`` —
-        Ray 2.49 does not push ``select_columns`` into the read, so
-        deriving it from ``envelopes`` re-deserializes the image columns);
-        ``False`` skips the scan for sources known to carry no DDL;
-        ``None`` scans ``envelopes`` if it has a ``ddl`` column and
-        otherwise carries the registry forward."""
+        ``ddl_source`` says where the commit's DDL events are: a Dataset
+        to scan for them; a Table of ``(lsn, seq, op, ddl)`` rows already
+        in the driver (``ddl_rows_from_parquet``, what ``run_from_paths``
+        passes); ``False`` for sources known to carry no DDL; or ``None``
+        to scan ``envelopes`` if it has a ``ddl`` column and otherwise
+        carry the registry forward."""
         t0 = time.monotonic()
         prep = self._prepare(envelopes, snapshot, ddl_source)
         if isinstance(prep, ReplayResult):
@@ -255,7 +255,7 @@ class ReplayJob:
         self,
         envelopes: "ray.data.Dataset",
         snapshot: "ray.data.Dataset | None",
-        ddl_source: "ray.data.Dataset | bool | None",
+        ddl_source: "ray.data.Dataset | pa.Table | bool | None",
     ) -> "_Prepared | ReplayResult":
         """Everything a commit decides before routing: restore the parent
         commit, replay schema history into the registry (ST3), and apply
@@ -311,6 +311,9 @@ class ReplayJob:
             sch = envelopes.schema()
             if sch is None or "ddl" not in sch.names:
                 ddl_source = False
+        if isinstance(ddl_source, pa.Table):
+            # the rows of the row groups the footer planner read
+            metrics["registry_rows_read"] = ddl_source.num_rows
         if ddl_source is False:
             reg = (SchemaRegistry.from_snapshot(prior) if prior
                    else SchemaRegistry(base_fields))
@@ -397,17 +400,17 @@ class ReplayJob:
         snapshot_paths: str | list[str] | None = None,
         **kw,
     ) -> ReplayResult:
-        """Convenience: replay Parquet WAL segments by path, with the
-        DDL scan automatically column-pruned at the read (the projection
-        the Ray 2.49 planner won't derive itself)."""
+        """Replay Parquet WAL segments by path (a file, a list of files or
+        a directory).  The apply reads only ``APPLY_COLUMNS``; the DDL
+        events come from the WAL files' footers
+        (``ddl_rows_from_parquet``), which read only the row groups whose
+        ``ddl`` column is not all null."""
         from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
         # apply reads only APPLY_COLUMNS — prune at the read so
         # before-images / source structs never leave the file footers
         env = ray.data.read_parquet(wal_paths, columns=list(APPLY_COLUMNS))
-        ddl = ray.data.read_parquet(
-            wal_paths, columns=["lsn", "seq", "op", "ddl"]
-        )
+        ddl = ddl_rows_from_parquet(wal_paths, max_lsn=self.cfg.max_lsn)
         snap = (
             ray.data.read_parquet(snapshot_paths, columns=list(APPLY_COLUMNS))
             if snapshot_paths is not None

@@ -350,30 +350,43 @@ class StreamingSession:
         """The push route: decode+push stream → per-shard finalize."""
         self.commits += 1
         t_decode = time.monotonic()
-        prep.ds.map_batches(
+        pushed = prep.ds.map_batches(
             make_decode_push(prep.project(), self.shards, self.shard_of),
             batch_format="pyarrow",
             batch_size=prep.cfg.batch_size,
         ).sum("n")  # drives the stream; returns one scalar
         t_final = time.monotonic()
-        merge_kw = prep.merge_kw()
-        stats = ray.get([s.finalize.remote(**merge_kw) for s in self.shards])
-        return [r for rows in stats for r in rows], {
+        metrics = {
             # phase latencies (per-commit lineage): stream-drive vs
             # shard finalize — small jobs are finalize/startup-bound,
             # large jobs decode-bound
             "decode_seconds": round(t_final - t_decode, 4),
-            "finalize_seconds": round(time.monotonic() - t_final, 4),
+            "finalize_seconds": 0,
             "streaming_apply": True,
             "streaming_session_commit": self.commits,
             "num_shards": len(self.shards),
-            "shard_nodes": self.shard_nodes,
         }
+        if not pushed:
+            # nothing pushed (e.g. the ledger dropped every row), so
+            # there is nothing to merge and no reason to wait on the
+            # pool: the ledger advances only in commits that finalize,
+            # and a finalize drains everything buffered
+            return [], metrics
+        merge_kw = prep.merge_kw()
+        stats = ray.get([s.finalize.remote(**merge_kw) for s in self.shards])
+        metrics["finalize_seconds"] = round(time.monotonic() - t_final, 4)
+        metrics["shard_nodes"] = self.shard_nodes
+        return [r for rows in stats for r in rows], metrics
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
             self.job._route = _sort_route
+            # wait for shards still starting (a session whose commits
+            # pushed nothing never waited on them): on a 1-core host,
+            # killing them mid-start made a loop of short sessions stall
+            # other Ray tasks for over 30 s after about 110 sessions
+            ray.wait(self._node_refs, num_returns=len(self._node_refs))
             for s in self.shards:
                 ray.kill(s)
 

@@ -5,8 +5,9 @@ with one declarative property interface per database; ours is a small
 protocol any envelope producer implements:
 
     envelopes()  -> Dataset of envelope rows (the change stream)
-    ddl_source() -> column-pruned Dataset for the schema-history scan
-                    (or False when the source emits no DDL)
+    ddl_source() -> the DDL rows for the schema-history replay: a Table
+                    of (lsn, seq, op, ddl) rows, a Dataset to scan, or
+                    False when the source emits no DDL
     snapshot()   -> Dataset of op=r rows for the initial load (or None)
     needs_schema_history -> checkpoint strictness (ST2)
 
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
+import pyarrow as pa
+
 import ray.data
 
 from plugin_debezium_ray.sources.binlog import binlog, snapshot_envelopes
-
-_DDL_COLS = ["lsn", "seq", "op", "ddl"]
+from plugin_debezium_ray.state.schema_registry import ddl_rows_from_parquet
 
 
 @runtime_checkable
@@ -32,7 +34,7 @@ class Source(Protocol):
 
     def envelopes(self) -> "ray.data.Dataset": ...
 
-    def ddl_source(self) -> "ray.data.Dataset | bool": ...
+    def ddl_source(self) -> "pa.Table | ray.data.Dataset | bool": ...
 
     def snapshot(self) -> "ray.data.Dataset | None": ...
 
@@ -50,8 +52,8 @@ class ParquetWalSource:
         return ray.data.read_parquet(self.wal_paths)
 
     def ddl_source(self):
-        # pruned at the READ (Ray 2.49 won't push select_columns down)
-        return ray.data.read_parquet(self.wal_paths, columns=_DDL_COLS)
+        # planned from the footers: only row groups that can hold DDL
+        return ddl_rows_from_parquet(self.wal_paths)
 
     def snapshot(self):
         if self.snapshot_paths is None:

@@ -3,11 +3,20 @@ refuse-incomplete-save, migration idempotence, connector identity.
 Ports the semantics of AtomicStateTest.java:71-256,
 OffsetMigrationTest.java:30-403 and ConnectorIdTest.java:8-79."""
 
+import argparse
 import json
 import os
 
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
+import ray
+import ray.data
 
+from plugin_debezium_ray.__main__ import cmd_lineage
+from plugin_debezium_ray.config import CaptureConfig
+from plugin_debezium_ray.pipelines.replay import ReplayJob
+from plugin_debezium_ray.sources.binlog import binlog, ddl_events_table
 from plugin_debezium_ray.state.checkpoint import (
     CheckpointManager,
     CommitConflict,
@@ -15,7 +24,11 @@ from plugin_debezium_ray.state.checkpoint import (
 )
 from plugin_debezium_ray.state.identity import connector_id, is_current_format
 from plugin_debezium_ray.state.migration import migrate_manifest, migrate_table_dir
-from plugin_debezium_ray.state.schema_registry import SchemaRegistry
+from plugin_debezium_ray.state.schema_registry import (
+    SchemaRegistry,
+    ddl_rows_from_parquet,
+    registry_from_envelopes,
+)
 
 
 def _manifest(version=1, schema={"fields": []}):
@@ -308,3 +321,139 @@ class TestSchemaRegistry:
         reg2 = SchemaRegistry.from_snapshot(reg.snapshot())
         assert reg2.fields == reg.fields and reg2.log == reg.log
         assert str(reg2.current_schema().field("x").type) == "int64"
+
+
+ADD = {"action": "add_column", "name": "license", "type": "string",
+       "default": "unknown"}
+REN = {"action": "rename_column", "from": "lang", "to": "language"}
+BASE = [("repo", "string"), ("path", "string"), ("lang", "string")]
+
+
+def _ddl(lsn, *events) -> pa.Table:
+    """Envelope rows carrying DDL ``events``, all at ``lsn``."""
+    return ddl_events_table([(lsn, e) for e in events])
+
+
+def _data(lsns) -> pa.Table:
+    """Envelope data rows (op=c, no DDL) at ``lsns``."""
+    t = ddl_events_table([(l, ADD) for l in lsns])
+    n = len(t)
+    for name, col in (("seq", pa.array(range(n), pa.int64())),
+                      ("op", pa.array(["c"] * n)),
+                      ("ddl", pa.nulls(n, pa.string()))):
+        t = t.set_column(t.schema.get_field_index(name), name, col)
+    return t
+
+
+def _write(t, path, **kw) -> str:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(t, path, **kw)
+    return path
+
+
+class TestDdlPlanner:
+    """``ddl_rows_from_parquet`` plans the schema-history replay from the
+    parquet footers; every case gives the registry the Dataset scan
+    gives."""
+
+    @staticmethod
+    def _registry(paths, scan_paths=None, max_lsn=None):
+        """(registry snapshot, planned table); asserts the footer-planned
+        registry equals the Dataset scan's over ``scan_paths``."""
+        planned = ddl_rows_from_parquet(paths, max_lsn=max_lsn)
+        got = registry_from_envelopes(planned, BASE, max_lsn=max_lsn)
+        want = registry_from_envelopes(
+            ray.data.read_parquet(scan_paths or paths), BASE, max_lsn=max_lsn
+        )
+        assert got.snapshot() == want.snapshot()
+        return got.snapshot(), planned
+
+    def _two_files(self, d):
+        a = _write(_data(range(1, 51)), str(d / "a.parquet"))
+        b = _write(pa.concat_tables([_ddl(60, ADD, REN),
+                                     _data(range(61, 100))]),
+                   str(d / "b.parquet"))
+        return a, b
+
+    def test_file_list(self, tmp_path):
+        snap, planned = self._registry(list(self._two_files(tmp_path)))
+        assert [e["action"] for e in snap["log"]] == ["add_column",
+                                                      "rename_column"]
+        assert planned.num_rows == 41  # b's one row group; a is all null
+
+    def test_directory(self, tmp_path):
+        self._two_files(tmp_path / "wal")
+        _write(_ddl(70, {**ADD, "name": "hidden"}),
+               str(tmp_path / "wal" / ".tmp.parquet"))  # skipped, as Ray does
+        snap, _ = self._registry(str(tmp_path / "wal"))
+        assert [n for n, _ in snap["fields"]] == [
+            "repo", "path", "language", "license"]
+
+    def test_ddl_in_a_middle_row_group(self, tmp_path):
+        t = pa.concat_tables([_data(range(1, 101)),
+                              _ddl(150, ADD, REN),
+                              _data(range(151, 249)),
+                              _data(range(300, 400))])
+        p = _write(t, str(tmp_path / "w.parquet"), row_group_size=100)
+        snap, planned = self._registry(p)
+        assert len(snap["log"]) == 2
+        assert planned.num_rows == 100  # row group 1 of 3
+
+    def test_row_group_without_statistics_is_read(self, tmp_path):
+        t = pa.concat_tables([_data(range(1, 20)),
+                              _ddl(30, ADD)])
+        p = _write(t, str(tmp_path / "w.parquet"), write_statistics=False)
+        snap, planned = self._registry(p)
+        assert len(snap["log"]) == 1 and planned.num_rows == 20
+
+    def test_file_without_ddl_column_contributes_nothing(self, tmp_path):
+        plain = _write(_data(range(1, 10)).drop_columns(["ddl"]),
+                       str(tmp_path / "plain.parquet"))
+        assert ddl_rows_from_parquet(plain).num_rows == 0
+        _, b = self._two_files(tmp_path)
+        snap, planned = self._registry([plain, b], scan_paths=[b])
+        assert len(snap["log"]) == 2 and planned.num_rows == 41
+
+    def test_ddl_across_files_out_of_order(self, tmp_path):
+        """The later rename sits in the file that sorts first: replay
+        must follow (lsn, seq), not file order."""
+        later = {"action": "rename_column", "from": "language", "to": "lingua"}
+        a = _write(_ddl(20, later), str(tmp_path / "a.parquet"))
+        b = _write(_ddl(10, REN), str(tmp_path / "b.parquet"))
+        snap, _ = self._registry([a, b])
+        assert [n for n, _ in snap["fields"]] == ["repo", "path", "lingua"]
+
+    def test_max_lsn_below_the_ddl(self, tmp_path):
+        a, b = self._two_files(tmp_path)
+        snap, planned = self._registry([a, b], max_lsn=55)
+        assert snap["log"] == [] and planned.num_rows == 0
+
+    def test_untouched_row_groups_never_read(self, tmp_path, monkeypatch):
+        """The bootstrap WAL's shape — one 2-row DDL segment and eight
+        data segments: the commit reads 1 row group of 9 for its schema
+        history, and its manifest says so."""
+        wal = tmp_path / "wal"
+        _write(_ddl(0, ADD, REN), str(wal / "seg-00000-ddl.parquet"))
+        data = pa.concat_tables(
+            ray.get(binlog(1600, 100, seed=3).to_arrow_refs())
+        ).sort_by([("lsn", "ascending"), ("seq", "ascending")])
+        for i in range(8):
+            _write(data.slice(200 * i, 200),
+                   str(wal / f"seg-{i + 1:05d}.parquet"))
+
+        reads = []
+        real = pq.ParquetFile.read_row_groups
+
+        def spy(self, row_groups, *a, **kw):
+            reads.append(len(row_groups))
+            return real(self, row_groups, *a, **kw)
+
+        monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        res = job.run_from_paths(str(wal))
+        assert reads == [1]  # 1 row group of 9
+        assert res.metrics["registry_rows_read"] == 2
+        assert {"language", "license"} <= set(job.read_table().schema().names)
+        lineage = cmd_lineage(argparse.Namespace(lake=str(tmp_path / "lake")))
+        assert lineage["metrics"]["registry_rows_read"] == 2
+

@@ -373,6 +373,25 @@ class TestSessionShardLoss:
             binlog(1500, 150, seed=SEED, base_lsn=1501)))
         assert _state(job) == _state(ref)
 
+    def test_commit_that_pushes_nothing_skips_the_pool(self, tmp_path):
+        """A rerun whose every row the ledger drops pushes nothing, so
+        it neither finalizes nor waits on the shards: with the whole pool
+        dead, it still commits, applying zero events and writing no
+        bucket file."""
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        seg = binlog(1500, 150, seed=SEED, base_lsn=1)
+        with job.streaming_session(num_shards=2) as session:
+            r1 = session.apply_segment(seg)
+            v1_buckets = _bucket_hashes(job)
+            for s in session.shards:
+                ray.kill(s)
+            r2 = session.apply_segment(seg)
+        assert r1.events_applied > 0 and "shard_nodes" in r1.metrics
+        assert r2.version == 2 and r2.events_applied == 0
+        assert r2.metrics["finalize_seconds"] == 0
+        assert "shard_nodes" not in r2.metrics
+        assert _bucket_hashes(job) == v1_buckets
+
     def test_closed_session_rejects_apply(self, tmp_path):
         job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "l"))
         s = job.streaming_session()
