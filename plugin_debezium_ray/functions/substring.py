@@ -76,7 +76,11 @@ def _unique_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct (h0, h1) pairs in (h0, h1)-sorted order plus each
     pair's occurrence count (or ``weights`` sum) — the run-head
-    segmented reduction shared by both count stages."""
+    segmented reduction shared by both count stages.  Empty input gives
+    three empty arrays."""
+    if len(h0) == 0:
+        tot = np.zeros(0, np.int64) if weights is None else weights[:0]
+        return h0[:0], h1[:0], tot
     order = np.lexsort((h1, h0))
     s0, s1 = h0[order], h1[order]
     head = np.empty(len(s0), dtype=bool)
@@ -97,7 +101,9 @@ def _merged_spans(
     covered token runs: returns (span_doc, start, end) with end
     INCLUSIVE.  All intervals have length k, so p2 merges into p1's
     span iff ``p2 - p1 <= k`` (coverage [p1, p1+k-1] ∪ [p2, p2+k-1] is
-    one contiguous run)."""
+    one contiguous run).  Empty input gives three empty arrays."""
+    if len(di) == 0:
+        return di[:0], pos[:0], pos[:0]
     newdoc = np.empty(len(di), dtype=bool)
     newdoc[0] = True
     newdoc[1:] = di[1:] != di[:-1]

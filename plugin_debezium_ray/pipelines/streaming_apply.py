@@ -28,6 +28,19 @@ the two paths.  The restore, schema replay, stop and snapshot rules and
 the manifest commit around the route are the shared ``_prepare`` /
 ``_commit``.
 
+A shard keeps state across commits: the ``{bucket: (path, table)}`` of
+the bucket files its last finalize wrote.  At the next finalize a bucket
+whose manifest path is still the held path merges over the held table
+instead of reading the file (the path is still ``os.stat``-ed, so a
+missing committed file raises as on the sort route).  Bucket files are
+immutable and each commit attempt writes under its own
+``data/v{N}-{hex}/``, so the held table is the file's content; any other
+path — a lost ``CommitConflict``, another writer's commit, a failed
+finalize, a fresh pool — is read from disk.  After each finalize only the
+tables that finalize wrote are held: about the prior tables the merge
+held at once anyway.  Each manifest counts the disk reads as
+``prior_files_read``.
+
 ``StreamingSession`` owns one pool across commits.  While it is open,
 its job routes every commit here (``run``, ``run_segments``,
 ``run_from_paths``, ``poll``; ``follow_apply`` holds one for its whole
@@ -158,7 +171,9 @@ class MergeShard:
     compacts with the LWW winner reduction when buffered rows grow, and
     at finalize merges all its buckets with their prior lake state in
     one call of the ``BucketMerge`` kernel the sort path uses per
-    bucket."""
+    bucket.  Across commits it holds the tables its last finalize wrote
+    (``held``); a bucket whose manifest path is still held is not read
+    back from disk at the next finalize."""
 
     def __init__(self, key_cols: tuple[str, ...], lo: int, hi: int,
                  compact_rows: int = COMPACT_ROWS):
@@ -169,6 +184,8 @@ class MergeShard:
         self.events_seen = 0
         self.compact_rows = compact_rows
         self.seen_pushes: set = set()
+        #: ``{bucket: (path, table)}`` the last finalize wrote
+        self.held: dict[int, tuple[str, pa.Table]] = {}
 
     def ingest(self, t: pa.Table, push_id: tuple | int | None = None) -> int:
         """Accept one pre-reduced slice.  ``push_id`` is a deterministic
@@ -181,10 +198,10 @@ class MergeShard:
         injective, so the id also carries row-count and lsn-range).
         ``seen_pushes`` grows one entry per decode-task push between
         commits — ≈ segment_events / batch_size / num_shards entries —
-        and is cleared at each ``finalize``: the decode stream's
-        ``sum("n")`` barrier completes before finalize runs, so no task
-        of a committed segment can retry afterwards, which bounds the
-        set for arbitrarily long multi-commit sessions."""
+        and is cleared at each ``finalize``: the driver drains every
+        decode task's output before finalize runs, so no task of a
+        committed segment can retry afterwards, which bounds the set for
+        arbitrarily long multi-commit sessions."""
         if push_id is not None:
             if push_id in self.seen_pushes:
                 return 0
@@ -234,8 +251,8 @@ class MergeShard:
         self.buffered = len(out)
 
     def _drain(self) -> pa.Table | None:
-        """Take every buffered row at a commit boundary: the caller's
-        decode barrier has completed, so no push of this segment can
+        """Take every buffered row at a commit boundary: the caller has
+        drained every decode task's output, so no push of this segment can
         retry — the dedup set restarts (bounds seen_pushes for long
         multi-commit sessions) and the events_seen counter rolls over to
         per-segment accounting.  The pool may live on across commits."""
@@ -261,11 +278,15 @@ class MergeShard:
     ) -> list[dict]:
         """Merge the owned buckets with their prior state in ONE
         ``BucketMerge`` call, write the bucket files, return the stats
-        rows (same schema as the sort path)."""
+        rows (same schema as the sort path).  The tables written replace
+        ``held``: a bucket whose manifest path is still one of them merges
+        over it instead of reading its file."""
         merged = self._drain()
+        # a finalize that fails or writes nothing leaves nothing held
+        held, self.held = self.held, {}
         if merged is None:
             return []
-        return BucketMerge(
+        stats, self.held = BucketMerge(
             self.key_cols,
             out_dir=out_dir,
             commit_id=commit_id,
@@ -274,7 +295,9 @@ class MergeShard:
             ledger=ledger,
             fingerprint_col=fingerprint_col,
             renames=renames,
-        )(merged).to_pylist()
+            held=held,
+        ).merge(merged)
+        return stats.to_pylist()
 
 
 def _make_shard_pool(cfg: CaptureConfig, num_shards: int | None):
@@ -350,11 +373,16 @@ class StreamingSession:
         """The push route: decode+push stream → per-shard finalize."""
         self.commits += 1
         t_decode = time.monotonic()
-        pushed = prep.ds.map_batches(
+        # drive the stream from the driver: each decode task returns its
+        # row count once its pushes are owned, so draining every output
+        # is the commit's decode barrier, without an aggregate stage
+        pushed = 0
+        for batch in prep.ds.map_batches(
             make_decode_push(prep.project(), self.shards, self.shard_of),
             batch_format="pyarrow",
             batch_size=prep.cfg.batch_size,
-        ).sum("n")  # drives the stream; returns one scalar
+        ).iter_batches(batch_size=None, batch_format="numpy"):
+            pushed += int(batch["n"].sum())
         t_final = time.monotonic()
         metrics = {
             # phase latencies (per-commit lineage): stream-drive vs

@@ -67,6 +67,9 @@ APPLY_STATS_FIELDS = [
     ("fingerprint", pa.string()),
     ("path", pa.string()),
     ("apply_seconds", pa.float64()),
+    # 1 when the bucket's prior file was read from disk, 0 when it had
+    # none or its writer still held it (``BucketMerge(held=...)``)
+    ("prior_files_read", pa.int64()),
 ]
 
 
@@ -312,6 +315,13 @@ class BucketMerge:
     at or below the ledger writes nothing and returns no row: the
     manifest carries its prior entry forward.
 
+    ``held`` maps a bucket to a ``(path, table)`` its caller wrote in an
+    earlier call (``merge``'s second result).  When the manifest still
+    pins that path, the held table is the bucket's prior state and its
+    file is not read: bucket files are immutable and each attempt's path
+    is unique (``data/v{N}-{hex}/``), so the held table is the file's
+    content.  The sort route holds nothing and reads every prior file.
+
     The Ray-native analogue of the reference's single-writer sink + offset
     store: state lives in Parquet keyed by deterministic bucket file names;
     visibility is gated by the manifest commit (state/checkpoint.py).
@@ -328,6 +338,7 @@ class BucketMerge:
         ledger: dict[int, tuple[int, int]] | None = None,
         fingerprint_col: str | None = "content",
         renames: dict[str, str] | None = None,
+        held: dict[int, tuple[str, pa.Table]] | None = None,
     ):
         self.key_cols = key_cols
         self.out_dir = out_dir
@@ -342,8 +353,16 @@ class BucketMerge:
         # the column into two (ST3 cross-commit evolution).  Key-column
         # renames are out of scope (they'd change the bucket hash).
         self.renames = renames or {}
+        self.held = held or {}
 
     def __call__(self, group: pa.Table) -> pa.Table:
+        return self.merge(group)[0]
+
+    def merge(
+        self, group: pa.Table
+    ) -> tuple[pa.Table, dict[int, tuple[str, pa.Table]]]:
+        """The stats rows, plus ``{bucket: (path, table)}`` of every file
+        written, each table exactly as written (a later call's ``held``)."""
         t0 = time.monotonic()
         # defense-in-depth ledger check (pre-filter already ran upstream;
         # a retried upstream task may resend — skipping here keeps apply
@@ -352,7 +371,7 @@ class BucketMerge:
         if len(group) and self.ledger:
             group = _ledger_filter(group, self.ledger)
         if len(group) == 0:
-            return pa.table({k: pa.nulls(0, v) for k, v in APPLY_STATS_FIELDS})
+            return pa.table({k: pa.nulls(0, v) for k, v in APPLY_STATS_FIELDS}), {}
 
         buckets, b_idx = np.unique(group[BUCKET_COL].to_numpy(), return_inverse=True)
         nb = len(buckets)
@@ -392,8 +411,12 @@ class BucketMerge:
         # that bucket's output), plus one concatenation of just the key
         # and fingerprint columns for the one-pass isin and hashing
         blist = buckets.tolist()
-        priors = {b: self._read_prior(b) for b in blist}
-        priors = {b: t for b, t in priors.items() if t is not None}
+        priors, from_disk = {}, []
+        for b in blist:
+            t, read = self._read_prior(b)
+            from_disk.append(int(read))
+            if t is not None:
+                priors[b] = t
         n_prior = np.array([len(priors[b]) if b in priors else 0 for b in blist])
         # (the empty upserts slice gives the concatenation its schema
         # when no bucket has a prior file)
@@ -425,7 +448,7 @@ class BucketMerge:
         )
         added_x = _xor_fold(lanes[:, n_hashed:], n_up)
 
-        rows, paths = [], []
+        rows, paths, written = [], [], {}
         p_off = np.cumsum(n_prior) - n_prior
         u_off = np.cumsum(n_up) - n_up
         for i, b in enumerate(blist):
@@ -439,7 +462,8 @@ class BucketMerge:
                 [_large_strings(t) for t in parts], promote_options="default"
             )
             rows.append(len(merged))
-            paths.append(self._write(b, merged))
+            written[b] = self._write(b, merged)
+            paths.append(written[b][0])
         fps = [
             f"{(int(fp, 16) if fp is not None else 0) ^ px ^ ax:064x}"
             for fp, px, ax in zip(prior_fp, prior_x, added_x)
@@ -456,28 +480,38 @@ class BucketMerge:
             "fingerprint": fps,
             "path": paths,
             "apply_seconds": np.full(nb, (time.monotonic() - t0) / nb),
+            "prior_files_read": from_disk,
         }
         return pa.table(
             {k: pa.array(stats[k], type=typ) for k, typ in APPLY_STATS_FIELDS}
-        )
+        ), written
 
-    def _read_prior(self, bucket: int) -> pa.Table | None:
-        """The bucket's committed file under the current column names, or
-        None for a bucket without one.  A committed file that is missing
-        raises (``FileNotFoundError``): merging the bucket as empty would
+    def _read_prior(self, bucket: int) -> tuple[pa.Table | None, bool]:
+        """The bucket's committed file under the current column names (None
+        for a bucket without one), and whether it was read from disk.  A
+        held table written at the very path the manifest pins stands in
+        for the read; any other path is read.  A committed file that is
+        missing raises (``FileNotFoundError``) either way, since the held
+        route still stats the path: merging the bucket as empty would
         silently drop its rows."""
         path = self.prior_paths.get(bucket)
         if path is None:
-            return None
-        prior = pq.read_table(path)
+            return None, False
+        held = self.held.get(bucket)
+        if held is not None and held[0] == path:
+            os.stat(path)
+            prior, read = held[1], False
+        else:
+            prior, read = pq.read_table(path), True
         if self.renames:
             new_names = [self.renames.get(c, c) for c in prior.column_names]
             if new_names != prior.column_names:
                 prior = prior.rename_columns(new_names)
-        return prior
+        return prior, read
 
-    def _write(self, bucket: int, merged: pa.Table) -> str:
-        """Write one bucket file, rows sorted by key; returns its path.
+    def _write(self, bucket: int, merged: pa.Table) -> tuple[str, pa.Table]:
+        """Write one bucket file, rows sorted by key; returns its path and
+        the table exactly as written (one chunk per column).
 
         Deterministic row order → byte-stable files for the rerun test.
         Arrow's multi-key sort (C++ kernels) sorts each key column in
@@ -493,9 +527,10 @@ class BucketMerge:
         path = os.path.join(self.out_dir, self.commit_id, f"bucket={bucket:05d}.parquet")
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".tmp"
-        pq.write_table(merged.take(order), tmp, compression="zstd")
+        out = merged.take(order).combine_chunks()
+        pq.write_table(out, tmp, compression="zstd")
         os.replace(tmp, path)  # idempotent retry: same name, same bytes
-        return path
+        return path, out
 
     def _content(self, t: pa.Table) -> pa.Array:
         """The fingerprinted content column as strings ("" for null or a

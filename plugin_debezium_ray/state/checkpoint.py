@@ -223,6 +223,7 @@ def build_manifest(
         }
     total_applied = 0
     total_seen = 0
+    prior_files_read = 0
     for r in stats_rows:
         if r.get("bucket") is None:
             continue
@@ -242,6 +243,7 @@ def build_manifest(
         }
         total_applied += int(r["events_applied"] or 0)
         total_seen += int(r["events_seen"] or 0)
+        prior_files_read += int(r.get("prior_files_read") or 0)
     return {
         "version": version,
         "connector_id": connector_id,
@@ -254,6 +256,9 @@ def build_manifest(
             "events_applied": total_applied,
             "events_seen": total_seen,
             "buckets_touched": sum(1 for r in stats_rows if r.get("bucket") is not None),
+            # prior bucket files the merge read from disk (a push-route
+            # shard merges over the tables it wrote the commit before)
+            "prior_files_read": prior_files_read,
             **(extra_metrics or {}),
         },
     }

@@ -4,12 +4,15 @@ incremental resume, and out-of-order ingestion (LWW order independence).
 """
 
 import hashlib
+import os
 
 import pytest
 
 import ray.data
 
 from conftest import pushed
+from test_recovery import _oracle, _segment
+from test_recovery import _state as _lake_state
 from plugin_debezium_ray.config import CaptureConfig, OffsetCommitMode
 from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import (
@@ -712,3 +715,97 @@ def test_wide_shard_pool_leaves_cpu_for_decode(tmp_path):
     res = fut.result()
     assert res.events_seen == 300
     assert set(_state(job)) == set(oracle_apply(300, 40, seed=SEED))
+
+
+class TestHeldBucketTables:
+    """A shard merges over the tables its last finalize wrote while the
+    manifest still pins their paths, and reads the files otherwise; the
+    lake is the same either way."""
+
+    CFG = dict(num_buckets=8, offset_commit_mode=OffsetCommitMode.ON_EACH_BATCH)
+    CUTS = (0, 75, 150, 225, 300)
+
+    def _segments(self):
+        return [_segment(lo, hi) for lo, hi in zip(self.CUTS, self.CUTS[1:])]
+
+    def _sort_lake(self, tmp_path, segs):
+        ref = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "ref"))
+        ref.run_segments(segs)
+        return ref
+
+    def test_second_session_commit_reads_no_prior_file(self, tmp_path):
+        import argparse
+
+        from plugin_debezium_ray.__main__ import cmd_lineage
+
+        segs = self._segments()
+        lake = str(tmp_path / "lake")
+        job = ReplayJob(CaptureConfig(**self.CFG), lake)
+        results = job.run_segments(segs[:2])  # sort route: v1, v2
+        results += pushed(job, job.run_segments, segs[2:])  # one session: v3, v4
+        assert [r.version for r in results] == [1, 2, 3, 4]
+        assert [r.metrics["buckets_touched"] for r in results] == [8] * 4
+        # a fresh lake has no prior file; the sort route and the first
+        # commit of a fresh pool read every touched bucket's file; the
+        # pool's second commit merges over what it wrote
+        assert [r.metrics["prior_files_read"] for r in results] == [0, 8, 8, 0]
+        lineage = cmd_lineage(argparse.Namespace(lake=lake))
+        assert lineage["metrics"]["prior_files_read"] == 0
+
+        ref = self._sort_lake(tmp_path, segs)
+        assert _bucket_hashes(job) == _bucket_hashes(ref)
+        assert _lake_state(job.table_dir) == _oracle(self.CUTS[-1])
+
+    def test_sort_writer_between_session_commits(self, tmp_path):
+        """Another writer commits between two session commits: the
+        session's next commit reads that writer's files, not the tables
+        it holds from its own last commit."""
+        segs = self._segments()
+        lake = str(tmp_path / "lake")
+        job = ReplayJob(CaptureConfig(**self.CFG), lake)
+        with job.streaming_session():
+            job.run_segments(segs[:2])
+            other = ReplayJob(CaptureConfig(**self.CFG), lake).run(segs[2])
+            assert other.version == 3 and other.metrics["prior_files_read"] == 8
+            res = job.run(segs[3])
+        assert res.version == 4 and res.metrics["prior_files_read"] == 8
+        assert _lake_state(job.table_dir) == _oracle(self.CUTS[-1])
+        assert _bucket_hashes(job) == _bucket_hashes(self._sort_lake(tmp_path, segs))
+
+    def test_lost_commit_conflict_reads_the_winners_files(self, tmp_path):
+        """A session commit loses ``CommitConflict`` after its shards
+        wrote (and hold) their attempt's tables: the next commit merges
+        over the winner's files."""
+        from plugin_debezium_ray.state.checkpoint import CommitConflict
+
+        lake = str(tmp_path / "lake")
+        job = ReplayJob(CaptureConfig(**self.CFG), lake)
+        with job.streaming_session():
+            assert job.run(_segment(0, 150)).version == 1
+            prep = job._prepare(_segment(150, 200), None, False)
+            # the winner applies more of the log than the loser's attempt
+            won = ReplayJob(CaptureConfig(**self.CFG), lake).run(_segment(150, 250))
+            assert won.version == prep.version == 2
+            rows, metrics = job._route(prep)
+            assert metrics["streaming_apply"] and len(rows) == 8
+            with pytest.raises(CommitConflict):
+                job._commit(prep, rows, metrics, 0.0)
+            res = job.run(_segment(250, 300))
+        assert res.version == 3 and res.metrics["prior_files_read"] == 8
+        assert _lake_state(job.table_dir) == _oracle(300)
+        ref = self._sort_lake(tmp_path, [_segment(0, 150), _segment(150, 250),
+                                         _segment(250, 300)])
+        assert _bucket_hashes(job) == _bucket_hashes(ref)
+
+    def test_missing_committed_file_raises(self, tmp_path):
+        """The push-route twin of ``test_vacuum.py::
+        test_missing_committed_file_raises``: a held table does not stand
+        in for a committed file that is gone."""
+        segs = self._segments()
+        job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "lake"))
+        with job.streaming_session():
+            job.run_segments(segs[:2])
+            os.remove(job.ckpt.bucket_paths()[3])
+            with pytest.raises(FileNotFoundError, match="bucket=00003"):
+                job.run(segs[2])
+        assert job.ckpt.current_version() == 2

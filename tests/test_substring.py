@@ -219,3 +219,24 @@ class TestStrip:
         assert out.schema().types[1] == pa.large_string()
         got = out.to_pandas().sort_values("doc_id")
         assert "shared bit" not in got["text"].iloc[0]
+
+
+class TestEmptyHelpers:
+    """The count and span helpers take empty input without raising."""
+
+    def test_unique_pairs_of_nothing(self):
+        from plugin_debezium_ray.functions.substring import _unique_pairs
+
+        h = np.zeros(0, np.uint64)
+        u0, u1, n = _unique_pairs(h, h)
+        assert len(u0) == len(u1) == len(n) == 0
+        u0, u1, w = _unique_pairs(h, h, np.zeros(0, np.float64))
+        assert len(u0) == len(u1) == len(w) == 0 and w.dtype == np.float64
+
+    def test_merged_spans_of_nothing(self):
+        from plugin_debezium_ray.functions.substring import _merged_spans
+
+        docs, starts, ends = _merged_spans(
+            np.zeros(0, np.int64), np.zeros(0, np.int64), k=5
+        )
+        assert len(docs) == len(starts) == len(ends) == 0
