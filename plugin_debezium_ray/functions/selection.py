@@ -596,6 +596,14 @@ class _AssignBudget:
         return pa.concat_tables(outs)
 
 
+@ray.remote
+def _block_rows_and_min(tbl: pa.Table, token_col: str) -> tuple[int, int | None]:
+    """(rows, smallest token count) of one sorted block."""
+    if tbl.num_rows == 0:  # Ray 2.49 sort emits schema-less empty blocks
+        return 0, None
+    return tbl.num_rows, pc.min(tbl[token_col]).as_py()
+
+
 def budget_select(
     ds: "ray.data.Dataset",
     *,
@@ -683,8 +691,12 @@ def budget_select(
     totals = ray.get(
         [_block_token_total.remote(r, token_col) for r in refs]
     )
-    from plugin_debezium_ray.functions.packing import _block_rows
-    rows = ray.get([_block_rows.remote(r) for r in refs])
+    rows_low = ray.get([_block_rows_and_min.remote(r, token_col) for r in refs])
+    rows = [n for n, _ in rows_low]
+    # the prune below needs a monotone running sum
+    low = min((m for _, m in rows_low if m is not None), default=0)
+    if low < 0:
+        raise ValueError(f"{token_col} holds a negative token count ({low})")
     bases = np.concatenate([[0], np.cumsum(totals[:-1], dtype=np.int64)]) \
         if totals else np.zeros(0, dtype=np.int64)
     # block-level pruning: a block whose exclusive base already EXCEEDS

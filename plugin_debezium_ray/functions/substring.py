@@ -432,21 +432,33 @@ def find_duplicate_spans(
     # resolve the output schema eagerly: Ray 2.49 forwards schema-less
     # empty blocks around the UDF, so an all-empty result would lose
     # its columns without a typed seed union (dedup_against_index's
-    # empty_out pattern)
+    # empty_out pattern).  schema() is None for a zero-block input (the
+    # id type then falls back to int64, as in budget_select); a
+    # pandas-block input reports a Python type for an object column,
+    # which gives the seed no type to take
     in_schema = ds.schema()
+    types = (dict(zip(in_schema.names, in_schema.types))
+             if in_schema is not None else {})
+    untyped = [
+        c for c in ([id_col] if mode == "stats" else types)
+        if c in types and not isinstance(types[c], pa.DataType)
+    ]
+    if untyped:
+        raise ValueError(
+            f"find_duplicate_spans needs Arrow-typed columns; {untyped} "
+            "report Python types (a pandas-block input): convert first, "
+            "e.g. ds.map_batches(lambda t: t, batch_format='pyarrow')"
+        )
     if mode == "stats":
-        id_type = dict(zip(in_schema.names, in_schema.types))[id_col]
         seed = pa.table({
-            id_col: pa.array([], id_type),
+            id_col: pa.array(
+                [], types[id_col] if in_schema is not None else pa.int64()),
             "n_dup_positions": pa.array([], pa.int64()),
             "n_spans": pa.array([], pa.int64()),
             "n_tokens_dup": pa.array([], pa.int64()),
         })
     else:
-        seed = pa.table({
-            n: pa.array([], t)
-            for n, t in zip(in_schema.names, in_schema.types)
-        })
+        seed = pa.table({n: pa.array([], t) for n, t in types.items()})
 
     dups = duplicated_grams(
         ds, text_col=text_col, k=k, min_count=min_count,

@@ -8,17 +8,29 @@ utilization dips at every commit boundary.
 
 This module is the other route, the architecture SURVEY.md §7.1 sketches
 directly: a pool of ``MergeShard`` **actors**, each owning a contiguous
-bucket range.  Decode tasks (plain ``map_batches``) pre-reduce their
-batch and push each shard's slice to it **as the stream flows** — no
-all-to-all barrier, no sort.  Correctness rests on LWW being
-order-independent: the winner per key is the max ``(lsn, seq)`` event,
-so shards may receive batches in any order, from any segment, and
-retried tasks may re-send (duplicate (lsn, seq) events collapse in the
-winner reduction; events at-or-below the ledger are dropped at
-finalize).  Shards compact incrementally (winner-reduce their
-accumulated slices) whenever buffered rows exceed a threshold, so
-steady-state memory per shard is O(its share of live keys), not O(its
-share of the stream).
+bucket range.  Decode tasks pre-reduce their batch and push each shard's
+slice to it **as the stream flows** — no all-to-all barrier, no sort.
+Correctness rests on LWW being order-independent: the winner per key is
+the max ``(lsn, seq)`` event, so shards may receive batches in any
+order, from any segment, and retried tasks may re-send (duplicate
+(lsn, seq) events collapse in the winner reduction; events at-or-below
+the ledger are dropped at finalize).  Shards compact incrementally
+(winner-reduce their accumulated slices) whenever buffered rows exceed a
+threshold, so steady-state memory per shard is O(its share of live
+keys), not O(its share of the stream).
+
+The decode tasks are plain Ray tasks over **units** of the input, not a
+Ray Data execution: a tail commit of a few hundred rows otherwise pays
+more for the streaming executor than for the work.  When the input is a
+bare file read (its logical plan is one ``Read`` op, as
+``read_parquet(paths, columns=APPLY_COLUMNS)`` is), the units are that
+read's own ``ReadTask`` objects, one per input file, with its column pruning,
+filters, partitioning and ``ray_remote_args``; any other plan (a
+generated source, ``limit``, a snapshot ``union``, a materialized
+Dataset) runs through Ray Data and each non-empty output block is a
+unit.  Every manifest of the route records ``decode_tasks`` and
+``decode_source`` (``"read"`` / ``"blocks"``).  The sort route still
+runs its Dataset pipeline.
 
 Finalize hands each shard's drained rows to ONE ``BucketMerge`` call
 per commit (the sort route calls the same kernel once per bucket) —
@@ -51,7 +63,8 @@ own.
 
 At cluster scale each shard is one actor (pin ``num_shards`` ≈ total
 cores; Ray spreads them across nodes); backpressure comes from decode
-tasks awaiting their pushes before finishing a batch.
+tasks awaiting their pushes before finishing a batch, and from the
+driver keeping at most the cluster's CPU count of them in flight.
 """
 
 from __future__ import annotations
@@ -65,7 +78,6 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
-import ray.data
 
 from plugin_debezium_ray.config import CaptureConfig
 from plugin_debezium_ray.pipelines.replay import _sort_route
@@ -159,6 +171,44 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
         return pa.table({"n": pa.array([n], pa.int64())})
 
     return decode_and_push
+
+
+def _read_tasks(ds) -> tuple[list, dict] | None:
+    """``(read tasks, ray_remote_args)`` of ``ds`` when its logical plan
+    is one ``Read`` op over known input files: the datasource's
+    ``get_read_tasks``, one task per file; ``None`` for any other plan.
+    The push route's only use of Ray Data's private plan API, so a Ray
+    upgrade that moves it fails one test
+    (``tests/test_streaming_apply.py::TestDecodeUnits``) instead of
+    silently sending bare reads through the executor."""
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    op = ds._logical_plan.dag
+    if not isinstance(op, Read):
+        return None
+    files = op.infer_metadata().input_files
+    if not files:
+        return None
+    tasks = op._datasource_or_legacy_reader.get_read_tasks(len(files))
+    return tasks, dict(op._ray_remote_args or {})
+
+
+@ray.remote
+def _decode_unit(body, unit, batch_size: int) -> int:
+    """One decode task: the rows of ``unit`` — a ``ReadTask`` it runs, or
+    a block Ray resolved — through ``body`` (``make_decode_push``)
+    ``batch_size`` rows at a time.  Returns the projected rows pushed,
+    once every push is owned by its shard."""
+    from ray.data.block import BlockAccessor
+    from ray.data.datasource import ReadTask
+
+    blocks = unit() if isinstance(unit, ReadTask) else (unit,)
+    n = 0
+    for block in blocks:
+        t = BlockAccessor.for_block(block).to_arrow()
+        for lo in range(0, t.num_rows, batch_size):
+            n += body(t.slice(lo, batch_size))["n"][0].as_py()
+    return n
 
 
 #: buffered rows past which a shard winner-reduces what it holds
@@ -265,6 +315,12 @@ class MergeShard:
         self.buffered = 0
         return merged
 
+    def discard(self) -> None:
+        """Drop every row pushed since the last finalize, and their push
+        ids: the commit they belong to failed, so the session's next
+        commit must not apply them."""
+        self._drain()
+
     def finalize(
         self,
         out_dir: str,
@@ -348,6 +404,8 @@ class StreamingSession:
             raise RuntimeError("a StreamingSession is already open on this job")
         self.job = job
         self.shards, self.shard_of = _make_shard_pool(job.cfg, num_shards)
+        #: decode tasks the driver keeps in flight
+        self._window = max(1, int(ray.cluster_resources().get("CPU", 1)))
         self.commits = 0
         self._closed = False
         # asked once at pool start (shards never move), read at the
@@ -370,26 +428,38 @@ class StreamingSession:
         return self.job.run(seg)
 
     def _push(self, prep) -> tuple[list[dict], dict]:
-        """The push route: decode+push stream → per-shard finalize."""
+        """The push route: decode tasks push the input's rows to the
+        shards, then every shard finalizes its buckets.
+
+        - Units: the input's read tasks, one per file, when it is a bare
+          file read (``_read_tasks``); otherwise the non-empty blocks Ray
+          Data streams out of its plan.  Each unit is one ``_decode_unit``
+          task running the ``make_decode_push`` body, which is shipped
+          once with ``ray.put``.
+        - Window: at most the cluster's CPU count of tasks in flight;
+          the driver submits the next unit as one finishes.
+        - Barrier: every task is drained before finalize, and a task
+          finishes only once its pushes are owned, so no task of this
+          commit can retry after ``finalize`` clears ``seen_pushes``.
+        - Error path: on the first failed task (or a failing Ray Data
+          plan) the driver submits no further unit, waits out the ones
+          in flight, has every shard ``discard`` what this commit
+          pushed, and raises: no push of the failed commit lands after
+          this returns, and none is applied by the next commit.  It
+          does not cancel the tasks in flight: a cancel can stop a task
+          between sending its pushes and their being owned."""
         self.commits += 1
         t_decode = time.monotonic()
-        # drive the stream from the driver: each decode task returns its
-        # row count once its pushes are owned, so draining every output
-        # is the commit's decode barrier, without an aggregate stage
-        pushed = 0
-        for batch in prep.ds.map_batches(
-            make_decode_push(prep.project(), self.shards, self.shard_of),
-            batch_format="pyarrow",
-            batch_size=prep.cfg.batch_size,
-        ).iter_batches(batch_size=None, batch_format="numpy"):
-            pushed += int(batch["n"].sum())
+        pushed, tasks, source = self._decode(prep)
         t_final = time.monotonic()
         metrics = {
-            # phase latencies (per-commit lineage): stream-drive vs
+            # phase latencies (per-commit lineage): decode+push tasks vs
             # shard finalize — small jobs are finalize/startup-bound,
             # large jobs decode-bound
             "decode_seconds": round(t_final - t_decode, 4),
             "finalize_seconds": 0,
+            "decode_tasks": tasks,
+            "decode_source": source,
             "streaming_apply": True,
             "streaming_session_commit": self.commits,
             "num_shards": len(self.shards),
@@ -405,6 +475,40 @@ class StreamingSession:
         metrics["finalize_seconds"] = round(time.monotonic() - t_final, 4)
         metrics["shard_nodes"] = self.shard_nodes
         return [r for rows in stats for r in rows], metrics
+
+    def _decode(self, prep) -> tuple[int, int, str]:
+        """Run ``_push``'s decode tasks; returns (projected rows pushed,
+        tasks run, ``"read"`` or ``"blocks"``)."""
+        body = ray.put(make_decode_push(prep.project(), self.shards, self.shard_of))
+        read = _read_tasks(prep.ds)
+        if read is not None:
+            units, remote_args = read
+            source, decode = "read", _decode_unit.options(**remote_args)
+        else:
+            units = (
+                ref
+                for bundle in prep.ds.iter_internal_ref_bundles()
+                for ref, meta in bundle.blocks
+                if meta.num_rows != 0
+            )
+            source, decode = "blocks", _decode_unit
+        pending: list = []
+        pushed = tasks = 0
+        try:
+            for unit in units:
+                if len(pending) >= self._window:
+                    done, pending = ray.wait(pending)
+                    pushed += ray.get(done[0])
+                pending.append(decode.remote(body, unit, prep.cfg.batch_size))
+                tasks += 1
+            pushed += sum(ray.get(pending))
+        except Exception:
+            if pending:
+                ray.wait(pending, num_returns=len(pending))
+            drops = [s.discard.remote() for s in self.shards]
+            ray.wait(drops, num_returns=len(drops))
+            raise
+        return pushed, tasks, source
 
     def close(self) -> None:
         if not self._closed:

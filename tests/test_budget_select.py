@@ -158,6 +158,20 @@ class TestBudgetSelect:
         with pytest.raises(ValueError, match="budget"):
             _run(docs, -1)
 
+    def test_negative_token_count_raises(self, ray_session):
+        """The block prune assumes a monotone running sum; a negative
+        count in a given ``token_col`` must fail, not skip rows."""
+        docs = pa.table({
+            "doc_id": pa.array(range(6), pa.int64()),
+            "score": pa.array([6, 5, 4, 3, 2, 1], pa.int64()),
+            "n": pa.array([2, 2, 2, -5, 2, 2], pa.int64()),
+        })
+        with pytest.raises(ValueError, match="negative token count"):
+            budget_select(
+                ray.data.from_arrow(docs).repartition(3), budget=3,
+                score_col="score", token_col="n",
+            )
+
     def test_zero_budget_keeps_schema(self, ray_session):
         docs = _docs(n=10)
         out = budget_select(

@@ -224,20 +224,40 @@ class TestStreamingSoak:
             for i in range(n)
         ]
 
+    def _parquet_segments(self, tmp_path):
+        """The same segments written to parquet, read back as the
+        follower reads them: ``read_parquet(columns=APPLY_COLUMNS)``."""
+        from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
+
+        dirs = [str(tmp_path / f"seg{i}") for i in range(3)]
+        for seg, d in zip(self._segments(), dirs):
+            seg.write_parquet(d)
+        return lambda: [
+            ray.data.read_parquet(d, columns=list(APPLY_COLUMNS)) for d in dirs
+        ]
+
     def test_three_commits_one_pool_parity_and_rerun_zero(
         self, tmp_path, monkeypatch
     ):
+        self._three_commits(tmp_path, monkeypatch, self._segments, "blocks")
+
+    def test_three_commits_on_parquet_inputs(self, tmp_path, monkeypatch):
+        self._three_commits(tmp_path, monkeypatch,
+                            self._parquet_segments(tmp_path), "read")
+
+    def _three_commits(self, tmp_path, monkeypatch, segments, source):
         from plugin_debezium_ray.pipelines import streaming_apply as sa
 
         monkeypatch.setattr(sa, "COMPACT_ROWS", 500)  # real compactions
         job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "soak"))
-        results = pushed(job, job.run_segments, self._segments())
+        results = pushed(job, job.run_segments, segments())
         assert [r.version for r in results] == [1, 2, 3]
         assert all(r.events_seen == 1200 for r in results)
         assert all(
             r.metrics.get("streaming_session_commit") == i + 1
             for i, r in enumerate(results)
         )
+        assert {r.metrics["decode_source"] for r in results} == {source}
 
         # parity: one-shot sort path over the union of all segments
         ref = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "ref"))
@@ -249,7 +269,7 @@ class TestStreamingSoak:
 
         # rerun-zero across the SAME multi-commit surface: every segment
         # is at-or-below the ledger now
-        rerun = pushed(job, job.run_segments, self._segments())
+        rerun = pushed(job, job.run_segments, segments())
         assert [r.events_seen for r in rerun] == [0, 0, 0]
         assert _state(job) == _state(ref)
 
@@ -493,6 +513,107 @@ class TestOneApplySurface:
             pass
 
 
+class TestDecodeUnits:
+    """The push route's decode tasks: a bare file read runs the read's
+    own tasks, one per file; any other plan runs through Ray Data and
+    its blocks are the units.  Every push manifest says which, and
+    ``lineage`` reads it back.  A Ray upgrade that moves the logical
+    plan fails here instead of slowing the follower down."""
+
+    def _wal(self, tmp_path, n_events, n_files):
+        import glob
+
+        from plugin_debezium_ray.sources.binlog import write_binlog_segments
+
+        out = write_binlog_segments(str(tmp_path / "wal"), n_events, 120,
+                                    seed=SEED, num_segments=n_files)
+        return sorted(glob.glob(f"{out}/*.parquet"))
+
+    @staticmethod
+    def _read(paths):
+        from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
+
+        return ray.data.read_parquet(paths, columns=list(APPLY_COLUMNS))
+
+    @staticmethod
+    def _rows(paths):
+        import pyarrow.parquet as pq
+
+        return sum(pq.read_metadata(p).num_rows for p in paths)
+
+    def _failing_commit(self, job, paths):
+        """A commit over ``paths[1:]`` plus a copy of ``paths[1]``
+        without its ``key`` column, listed second: that read task
+        raises (read planning samples only the first and last file)."""
+        import pyarrow.parquet as pq
+
+        bad = paths[1] + ".nokey.parquet"
+        pq.write_table(pq.read_table(paths[1]).drop_columns(["key"]), bad)
+        failing = self._read([paths[1], bad, *paths[2:]])
+        with pytest.raises(Exception, match=r"FieldRef.Name\(key\)"):
+            job.run(failing)
+        assert job.ckpt.current_version() == 1
+
+    def test_units_follow_the_input_plan(self, tmp_path):
+        import argparse
+
+        from plugin_debezium_ray.__main__ import cmd_lineage
+
+        paths = self._wal(tmp_path, 900, 3)
+        lake = str(tmp_path / "lake")
+        job = ReplayJob(CaptureConfig(num_buckets=8), lake)
+        with job.streaming_session(num_shards=2):
+            read = job.run(self._read(paths))
+            lineage = cmd_lineage(argparse.Namespace(lake=lake))["metrics"]
+            others = [
+                job.run(binlog(300, 120, seed=SEED, base_lsn=10_001)),
+                job.run(self._read(paths).limit(500)),
+                job.run(self._read(paths[:1]).union(self._read(paths[1:]))),
+                job.run(self._read(paths).materialize()),
+            ]
+        assert read.events_seen == 900
+        assert (read.metrics["decode_source"], read.metrics["decode_tasks"]) \
+            == ("read", 3)
+        assert (lineage["decode_source"], lineage["decode_tasks"]) == ("read", 3)
+        assert [r.metrics["decode_source"] for r in others] == ["blocks"] * 4
+        assert all(r.metrics["decode_tasks"] >= 1 for r in others)
+
+    def test_failed_read_task_fails_the_commit_only(self, tmp_path):
+        """One read task of a session commit raises (a WAL file without
+        its ``key`` column, in the middle of the list, where Ray's read
+        planning samples no file): the commit raises and commits
+        nothing, and retrying the good files in the same session applies
+        each of their events once, although the failed attempt pushed
+        them too."""
+        paths = self._wal(tmp_path, 1200, 4)
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        with job.streaming_session(num_shards=2):
+            assert job.run(self._read(paths[:1])).version == 1
+            self._failing_commit(job, paths)
+            res = job.run(self._read(paths[1:]))
+        assert (res.version, res.metrics["decode_tasks"]) == (2, 3)
+        assert res.events_seen == self._rows(paths[1:]) == 900
+        assert _state(job) == {
+            k: hashlib.sha256(r["content"].encode()).hexdigest()
+            for k, r in oracle_apply(1200, 120, seed=SEED,
+                                     include_snapshot=False).items()
+        }
+
+
+    def test_failed_commit_leaves_nothing_to_the_next(self, tmp_path):
+        """The good files of a failed commit were pushed before it
+        raised; the session's next commit, over another file, applies
+        that file's events only."""
+        paths = self._wal(tmp_path, 1200, 4)
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        with job.streaming_session(num_shards=2):
+            job.run(self._read(paths[:1]))
+            self._failing_commit(job, paths)
+            res = job.run(self._read(paths[3:]))
+        assert res.version == 2
+        assert res.events_seen == self._rows(paths[3:]) == 300
+
+
 # -------------------------------------------------------- merge kernel
 
 KEYS = ("repo", "path")
@@ -667,12 +788,30 @@ class TestRouteParityAcrossEpochs:
         ]
 
     def test_routes_agree_after_every_commit(self, tmp_path):
+        self._routes_agree(
+            tmp_path, lambda job: job.run_segments(self._segments()), "blocks"
+        )
+
+    def test_routes_agree_on_parquet_inputs(self, tmp_path):
+        """The segments written to parquet and committed by path
+        (``run_from_paths``: ``read_parquet(columns=APPLY_COLUMNS)``
+        plus the footer DDL planner): the push route runs the read's
+        own tasks."""
+        dirs = [str(tmp_path / f"seg{i}") for i in range(3)]
+        for seg, d in zip(self._segments(), dirs):
+            seg.write_parquet(d)
+        self._routes_agree(
+            tmp_path, lambda job: [job.run_from_paths(d) for d in dirs], "read"
+        )
+
+    def _routes_agree(self, tmp_path, commit_all, source):
         cfg = CaptureConfig(num_buckets=16,
                             offset_commit_mode=OffsetCommitMode.ON_EACH_BATCH)
         sort = ReplayJob(cfg, str(tmp_path / "sort"))
-        assert len(sort.run_segments(self._segments())) == 3
+        assert len(commit_all(sort)) == 3
         push = ReplayJob(cfg, str(tmp_path / "push"))
-        assert len(pushed(push, push.run_segments, self._segments())) == 3
+        results = pushed(push, commit_all, push)
+        assert [r.metrics["decode_source"] for r in results] == [source] * 3
 
         def commit(job, v):
             m = job.ckpt.restore_version(v)

@@ -128,6 +128,33 @@ class TestDuplicateSpanStats:
         ]
         assert out.count() == 0
 
+    def test_zero_block_input_gets_the_typed_empty_result(self, ray_session):
+        """A zero-block input has no schema; the empty result still
+        comes back with the stats columns instead of an AttributeError."""
+        empty = ray.data.from_items([{"doc_id": 1, "text": "a b c"}]).filter(
+            lambda r: False
+        )
+        for mode in ("stats", "strip"):
+            assert find_duplicate_spans(empty, k=2, mode=mode).count() == 0
+        out = find_duplicate_spans(empty, k=2)
+        assert out.schema().names == [
+            "doc_id", "n_dup_positions", "n_spans", "n_tokens_dup",
+        ]
+
+    def test_pandas_blocks(self, ray_session):
+        """A pandas-block input reports Python types for object columns:
+        an Arrow-typed id still gives the stats, an untyped column the
+        seed needs raises a ValueError saying how to convert."""
+        df = pd.DataFrame({"doc_id": [1, 2],
+                           "text": ["a b c d", "a b c e"]})
+        stats = find_duplicate_spans(ray.data.from_pandas(df), k=2)
+        assert stats.to_pandas()["n_tokens_dup"].tolist() == [3, 3]
+        with pytest.raises(ValueError, match=r"\['doc_id', 'text'\]"):
+            find_duplicate_spans(
+                ray.data.from_pandas(df.astype({"doc_id": str})), k=2,
+                mode="strip",
+            )
+
     def test_bounds_raise(self, ray_session):
         docs = _corpus(n_docs=20)
         with pytest.raises(ValueError, match="dup_max_grams"):
