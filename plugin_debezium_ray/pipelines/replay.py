@@ -172,7 +172,6 @@ class ReplayJob:
     ``table_dir`` layout (resumable output, SURVEY.md 'Resumable output'):
         data/v{N}-{hex}/bucket=NNNNN.parquet — one attempt at commit N
         _meta/manifest-v{N}.json — commit N, created put-if-absent
-        _meta/CURRENT            — hint for older readers, never read
     """
 
     def __init__(

@@ -12,12 +12,19 @@ bucket range.  Decode tasks pre-reduce their batch and push each shard's
 slice to it **as the stream flows** — no all-to-all barrier, no sort.
 Correctness rests on LWW being order-independent: the winner per key is
 the max ``(lsn, seq)`` event, so shards may receive batches in any
-order, from any segment, and retried tasks may re-send (duplicate
-(lsn, seq) events collapse in the winner reduction; events at-or-below
-the ledger are dropped at finalize).  Shards compact incrementally
-(winner-reduce their accumulated slices) whenever buffered rows exceed a
-threshold, so steady-state memory per shard is O(its share of live
-keys), not O(its share of the stream).
+order, from any segment (events at-or-below the ledger are dropped at
+finalize).  Exactly-once counting under Ray task retries comes from the
+plan, as Delta Lake's writer-assigned transaction ids make its streaming
+writes idempotent: the driver numbers the decode units in the order it
+submits them, every batch is pushed as ``(unit index, row offset within
+the unit)``, and a shard drops an id it has already accepted since its
+last drain.  A retried task re-reads the same unit — one file's read
+task, or an immutable block — and so re-sends the same ids, while rows
+that really repeat in the input (a file listed twice, a self-union) are
+counted each time, as the sort route counts them.  Shards compact
+incrementally (winner-reduce their accumulated slices) whenever buffered
+rows exceed a threshold, so steady-state memory per shard is O(its share
+of live keys), not O(its share of the stream).
 
 The decode tasks are plain Ray tasks over **units** of the input, not a
 Ray Data execution: a tail commit of a few hundred rows otherwise pays
@@ -76,6 +83,7 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
@@ -90,64 +98,15 @@ from plugin_debezium_ray.stages.apply import (
 )
 
 
-# per-lane seed constants (golden-ratio / xxhash-prime style odd values):
-# distinct seeds per (lane, column) make the two lanes genuinely
-# independent mixes.  NOTE: pd.util.hash_array's ``hash_key`` is IGNORED
-# for numeric dtypes (it only keys the object-array path), so "two
-# hash_array calls with different keys" would yield bit-identical lanes —
-# splitmix64 with explicit seeds is the correct keyed primitive here.
-_LANE_SEEDS = (
-    (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xD6E8FEB86659FD93)),
-    (np.uint64(0xC2B2AE3D27D4EB4F), np.uint64(0x165667B19E3779F9)),
-)
-
-
-def _push_lanes(lsn_np: np.ndarray, seq_np: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent 64-bit keyed-hash lanes per (lsn, seq) row, for
-    content-addressed push ids.  lsn and seq are mixed SEPARATELY
-    (splitmix64 under distinct per-lane seeds) and combined with a
-    rotation, so the pair encoding is not subject to the non-injectivity
-    of an arithmetic combine (``lsn*P + seq`` aliases once seq ≥ P)."""
-    from plugin_debezium_ray.sources.rand import splitmix64
-
-    lsn_u = lsn_np.astype(np.uint64)
-    seq_u = seq_np.astype(np.uint64)
-    lanes = []
-    for lseed, sseed in _LANE_SEEDS:
-        hl = splitmix64(lsn_u ^ lseed)
-        hs = splitmix64(seq_u ^ sseed)
-        lanes.append(hl ^ ((hs << np.uint64(17)) | (hs >> np.uint64(47))))
-    return lanes[0], lanes[1]
-
-
-def _slice_push_id(
-    lane_a: np.ndarray, lane_b: np.ndarray,
-    lsn_np: np.ndarray, idx: np.ndarray,
-) -> tuple[int, int, int, int, int]:
-    """Deterministic id of one pushed slice: (rows, min_lsn, max_lsn,
-    xor of lane a, xor of lane b).  The XOR fold alone loses set
-    structure, so the id also carries structural fields; a collision
-    between two distinct slices bound for the same shard requires both
-    128 hash bits AND the (rows, lsn-range) tuple to agree — ~2^-128 per
-    pair, and identical on a Ray task retry (the exactly-once property)."""
-    lsn_sel = lsn_np[idx]
-    return (
-        int(len(idx)),
-        int(lsn_sel.min()),
-        int(lsn_sel.max()),
-        int(np.bitwise_xor.reduce(lane_a[idx])),
-        int(np.bitwise_xor.reduce(lane_b[idx])),
-    )
-
-
 def make_decode_push(proj, shards, shard_of: np.ndarray):
     """Shared decode-task body of the push shuffle: project/pre-reduce a
     batch, slice it by owning shard (one stable argsort + searchsorted),
-    and push each slice with its content-addressed id; the task completes
+    and push each slice with the batch's ``push_id``; the task completes
     only after every push is owned by its shard (backpressure + retry
-    safety).  The body of ``StreamingSession``'s push route."""
+    safety).  The body of ``StreamingSession``'s push route, which names
+    each batch by its place in the commit's plan (``_decode_unit``)."""
 
-    def decode_and_push(t: pa.Table) -> pa.Table:
+    def decode_and_push(t: pa.Table, push_id: tuple | None = None) -> pa.Table:
         out = proj(t)
         n = len(out)
         if n:
@@ -157,16 +116,13 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
             cuts = np.searchsorted(
                 sid[order], np.arange(len(shards) + 1), side="left"
             )
-            lsn_np = out["lsn"].to_numpy()
-            seq_np = out["seq"].to_numpy()
-            lane_a, lane_b = _push_lanes(lsn_np, seq_np)
-            refs = []
-            for s in range(len(shards)):
-                if cuts[s + 1] > cuts[s]:
-                    idx = order[cuts[s] : cuts[s + 1]]
-                    sl = out.take(pa.array(idx))
-                    pid = _slice_push_id(lane_a, lane_b, lsn_np, idx)
-                    refs.append(shards[s].ingest.remote(sl, pid))
+            refs = [
+                shards[s].ingest.remote(
+                    out.take(pa.array(order[cuts[s] : cuts[s + 1]])), push_id
+                )
+                for s in range(len(shards))
+                if cuts[s + 1] > cuts[s]
+            ]
             ray.get(refs)
         return pa.table({"n": pa.array([n], pa.int64())})
 
@@ -194,20 +150,24 @@ def _read_tasks(ds) -> tuple[list, dict] | None:
 
 
 @ray.remote
-def _decode_unit(body, unit, batch_size: int) -> int:
+def _decode_unit(body, unit, batch_size: int, index: int) -> int:
     """One decode task: the rows of ``unit`` — a ``ReadTask`` it runs, or
     a block Ray resolved — through ``body`` (``make_decode_push``)
-    ``batch_size`` rows at a time.  Returns the projected rows pushed,
-    once every push is owned by its shard."""
+    ``batch_size`` rows at a time.  ``index`` is the unit's place in the
+    commit's plan; each batch is pushed as ``(index, row offset of the
+    batch within the unit)``, counting across the blocks a read task
+    yields, so a retry of the task sends the same ids again.  Returns
+    the projected rows pushed, once every push is owned by its shard."""
     from ray.data.block import BlockAccessor
     from ray.data.datasource import ReadTask
 
     blocks = unit() if isinstance(unit, ReadTask) else (unit,)
-    n = 0
+    n = offset = 0
     for block in blocks:
         t = BlockAccessor.for_block(block).to_arrow()
         for lo in range(0, t.num_rows, batch_size):
-            n += body(t.slice(lo, batch_size))["n"][0].as_py()
+            n += body(t.slice(lo, batch_size), (index, offset + lo))["n"][0].as_py()
+        offset += t.num_rows
     return n
 
 
@@ -233,38 +193,34 @@ class MergeShard:
         self.buffered = 0
         self.events_seen = 0
         self.compact_rows = compact_rows
+        self.pushes = 0
         self.seen_pushes: set = set()
         #: ``{bucket: (path, table)}`` the last finalize wrote
         self.held: dict[int, tuple[str, pa.Table]] = {}
 
-    def ingest(self, t: pa.Table, push_id: tuple | int | None = None) -> int:
-        """Accept one pre-reduced slice.  ``push_id`` is a deterministic
-        content id of the slice — (rows, min/max lsn, two independent
-        64-bit XOR-fold hash lanes of its (lsn, seq) set; see
-        ``_slice_push_id``): a RETRIED decode task re-sends identical
-        slices, which are dropped here — exactly-once accounting under
-        Ray task retries (SURVEY.md §7.4 #1).  Distinct slices collide
-        with probability ~2^-128 per pair (not never: an XOR fold is not
-        injective, so the id also carries row-count and lsn-range).
-        ``seen_pushes`` grows one entry per decode-task push between
-        commits — ≈ segment_events / batch_size / num_shards entries —
-        and is cleared at each ``finalize``: the driver drains every
-        decode task's output before finalize runs, so no task of a
-        committed segment can retry afterwards, which bounds the set for
-        arbitrarily long multi-commit sessions."""
+    def ingest(self, t: pa.Table, push_id: tuple | None = None) -> int:
+        """Accept one pre-reduced slice (``project_for_apply`` output, so
+        it carries ``_weight``).  ``push_id`` names the decode batch by its
+        place in the commit's plan — ``(unit index, row offset)``, see
+        ``_decode_unit`` — so distinct batches never share one, and a
+        RETRIED decode task re-sends the same ids, which are dropped here:
+        exactly-once accounting under Ray task retries (SURVEY.md §7.4
+        #1), while rows that really repeat in the input are counted each
+        time, as on the sort route.  ``seen_pushes`` grows one entry per
+        push between commits — at most one per decode batch — and is
+        cleared at each drain: the driver drains every decode task's
+        output before finalize runs, so no task of a committed segment
+        can retry afterwards, which bounds the set for arbitrarily long
+        multi-commit sessions."""
         if push_id is not None:
             if push_id in self.seen_pushes:
                 return 0
             self.seen_pushes.add(push_id)
+        self.pushes += 1
         if len(t):
             self.tables.append(t)
             self.buffered += len(t)
-            if WEIGHT_COL in t.column_names:
-                import pyarrow.compute as pc
-
-                self.events_seen += int(pc.sum(t[WEIGHT_COL]).as_py() or 0)
-            else:
-                self.events_seen += len(t)
+            self.events_seen += int(pc.sum(t[WEIGHT_COL]).as_py() or 0)
             if self.buffered > self.compact_rows:
                 self._compact()
         return 0
@@ -275,11 +231,11 @@ class MergeShard:
         return ray.get_runtime_context().get_node_id()
 
     def counters(self) -> dict:
-        """ST6-style shard metrics (events seen, distinct pushes,
-        buffered rows)."""
+        """ST6-style shard metrics (events seen, pushes accepted, buffered
+        rows), each since the last drain."""
         return {
             "events_seen": self.events_seen,
-            "pushes": len(self.seen_pushes),
+            "pushes": self.pushes,
             "buffered": self.buffered,
         }
 
@@ -307,7 +263,7 @@ class MergeShard:
         multi-commit sessions) and the events_seen counter rolls over to
         per-segment accounting.  The pool may live on across commits."""
         self.seen_pushes.clear()
-        self.events_seen = 0
+        self.events_seen = self.pushes = 0
         if not self.tables:
             return None
         merged = pa.concat_tables(self.tables, promote_options="default")
@@ -435,7 +391,8 @@ class StreamingSession:
           file read (``_read_tasks``); otherwise the non-empty blocks Ray
           Data streams out of its plan.  Each unit is one ``_decode_unit``
           task running the ``make_decode_push`` body, which is shipped
-          once with ``ray.put``.
+          once with ``ray.put``.  Units are numbered in submission
+          order; a batch's push id is ``(unit index, row offset)``.
         - Window: at most the cluster's CPU count of tasks in flight;
           the driver submits the next unit as one finishes.
         - Barrier: every task is drained before finalize, and a task
@@ -499,7 +456,7 @@ class StreamingSession:
                 if len(pending) >= self._window:
                     done, pending = ray.wait(pending)
                     pushed += ray.get(done[0])
-                pending.append(decode.remote(body, unit, prep.cfg.batch_size))
+                pending.append(decode.remote(body, unit, prep.cfg.batch_size, tasks))
                 tasks += 1
             pushed += sum(ray.get(pending))
         except Exception:

@@ -12,7 +12,8 @@ history, and falls back to legacy two-key state on restore
   fsyncs a temp file and ``os.link``s it to ``manifest-vNNNNNN.json`` —
   put-if-absent, so a second writer of vN gets ``CommitConflict`` — then
   fsyncs ``_meta``; ``restore()`` returns the highest-numbered manifest.
-  ``CURRENT`` is still written after it, a hint nothing here reads.
+  There is no pointer file: a ``_meta/CURRENT`` left by older writers
+  is never read.
 - ``save()`` REFUSES an inconsistent save (ledger without schema when the
   source needs schema history) by returning None and writing nothing —
   the AtomicStateTest.java:71-256 contract.
@@ -29,7 +30,6 @@ import tempfile
 
 from plugin_debezium_ray.stages.apply import FINGERPRINT_SCHEME
 
-CURRENT = "CURRENT"
 LEGACY_OFFSETS = "offsets.json"
 LEGACY_HISTORY = "history.json"
 
@@ -85,7 +85,6 @@ class CheckpointManager:
             os.fsync(fd)
         finally:
             os.close(fd)
-        _atomic_write(os.path.join(self.meta_dir, CURRENT), str(version))  # hint
         return path
 
     # --------------------------------------------------------- restore

@@ -42,7 +42,7 @@ def migrate_manifest(
             raw = f.read()
         if not raw.strip():
             return False
-        m = json.load(open(path))
+        m = json.loads(raw)
     except (OSError, json.JSONDecodeError):
         return False  # absent/corrupt → leave untouched
     if not isinstance(m, dict):

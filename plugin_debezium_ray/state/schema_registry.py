@@ -4,9 +4,8 @@ The reference accumulates DDL in a schema-history file
 (`AbstractDebeziumTask.java:453-518,535-538`) consumed by the engine; we
 hold the current payload schema + an ordered evolution log, snapshotted
 into every checkpoint manifest (the atomic offsets+history contract of
-ST2).  Exposed both as a plain class (driver-side build from the binlog's
-DDL rows) and as a Ray actor for concurrent pipelines.  For parquet WAL
-files the DDL rows are planned from the footers
+ST2).  A plain class, built driver-side from the binlog's DDL rows.  For
+parquet WAL files the DDL rows are planned from the footers
 (``ddl_rows_from_parquet``): only row groups whose ``ddl`` column is not
 all null are read, which plays the part of the reference's small
 schema-history file.
@@ -22,8 +21,6 @@ import json
 import os
 
 import pyarrow as pa
-
-import ray
 
 
 class SchemaRegistry:
@@ -76,7 +73,6 @@ class SchemaRegistry:
     def added_columns(self) -> list[tuple[str, str, object]]:
         """[(name, type alias, default)] in evolution order, with renames
         applied to the names."""
-        rn = {}
         out: list[tuple[str, str, object]] = []
         for ev in self.log:
             if ev["action"] == "add_column":
@@ -85,7 +81,6 @@ class SchemaRegistry:
                 out = [
                     (ev["to"] if n == ev["from"] else n, t, d) for n, t, d in out
                 ]
-                rn[ev["from"]] = ev["to"]
         return out
 
     # -------------------------------------------------------- snapshot
@@ -225,24 +220,3 @@ def ddl_rows_from_parquet(paths, *, max_lsn: int | None = None) -> pa.Table:
         return pa.schema([("lsn", pa.int64()), ("seq", pa.int64()),
                           ("op", pa.string()), ("ddl", pa.string())]).empty_table()
     return pa.concat_tables(parts, promote_options="permissive")
-
-
-@ray.remote
-class SchemaRegistryActor:
-    """Singleton actor wrapper for concurrent access (ST3)."""
-
-    def __init__(self, snapshot: dict | None = None, base: list | None = None):
-        self.reg = (
-            SchemaRegistry.from_snapshot(snapshot)
-            if snapshot
-            else SchemaRegistry([tuple(f) for f in (base or [])])
-        )
-
-    def apply_ddl(self, ddl: str | dict) -> None:
-        self.reg.apply_ddl(ddl)
-
-    def snapshot(self) -> dict:
-        return self.reg.snapshot()
-
-    def view(self) -> tuple[dict, list]:
-        return self.reg.rename_map(), self.reg.added_columns()

@@ -248,7 +248,6 @@ def test_crash_at_every_commit_write(tmp_path, route):
     lake, saved = str(tmp_path / "lake"), str(tmp_path / "saved")
     meta = os.path.join(lake, "_meta")
     _commit_on(route, lake, _segment(0, 150))
-    hint_v1 = open(os.path.join(meta, "CURRENT")).read()
     _commit_on(route, lake, _segment(150, 300))
     shutil.copytree(lake, saved)
     ckpt = ReplayJob(CaptureConfig(), lake).ckpt
@@ -257,16 +256,15 @@ def test_crash_at_every_commit_write(tmp_path, route):
     assert len({os.path.dirname(p) for p in files}) == 1 and len(files) == 8
     manifest = os.path.join(meta, "manifest-v000002.json")
 
-    # crash point -> (bucket files written, manifest state, hint written)
+    # crash point -> (bucket files written, manifest state)
     points = {
-        "no bucket files": (0, None, False),
-        "some bucket files": (3, None, False),
-        "all bucket files": (8, None, False),
-        "manifest temp file": (8, "temp", False),
-        "manifest linked": (8, "linked", False),
-        "hint written": (8, "linked", True),
+        "no bucket files": (0, None),
+        "some bucket files": (3, None),
+        "all bucket files": (8, None),
+        "manifest temp file": (8, "temp"),
+        "manifest linked": (8, "linked"),
     }
-    for point, (kept, state, hint) in points.items():
+    for point, (kept, state) in points.items():
         shutil.rmtree(lake)
         shutil.copytree(saved, lake)
         for p in files[kept:]:
@@ -279,9 +277,6 @@ def test_crash_at_every_commit_write(tmp_path, route):
             os.remove(manifest)
         elif state == "temp":
             os.rename(manifest, manifest + ".k3j2l1x_")
-        if not hint:
-            with open(os.path.join(meta, "CURRENT"), "w") as f:
-                f.write(hint_v1)
 
         want = v2 if state == "linked" else v1
         assert ckpt.restore() == want, point

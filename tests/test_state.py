@@ -85,8 +85,7 @@ class TestCheckpoint:
         with pytest.raises(CommitConflict):
             CheckpointManager(str(tmp_path)).save(other)
         assert open(p).read() == before
-        assert sorted(os.listdir(os.path.dirname(p))) == [
-            "CURRENT", "manifest-v000001.json"]
+        assert sorted(os.listdir(os.path.dirname(p))) == ["manifest-v000001.json"]
 
     def test_unreadable_manifest_raises(self, tmp_path):
         """A manifest that does not parse is an error, never a silent

@@ -102,9 +102,11 @@ class TestStreamingApply:
         assert _state(a) == _state(b)
 
     def test_retried_push_is_deduped(self):
-        """A retried decode task re-sends identical slices; the shard's
-        content-addressed push dedup must drop them (exactly-once
-        events_seen accounting under Ray task retries)."""
+        """A retried decode task re-sends its batches under the same
+        ``(unit index, row offset)`` ids; the shard drops them
+        (exactly-once events_seen accounting under Ray task retries).
+        The same rows under another id are another push: rows that
+        really repeat in the input count again, as on the sort route."""
         import pandas as pd
         import pyarrow as pa
 
@@ -125,12 +127,14 @@ class TestStreamingApply:
                 "_weight": pa.array([3, 4], pa.int64()),
             }
         )
-        pid = 12345
-        _ray.get(shard.ingest.remote(t, pid))
-        _ray.get(shard.ingest.remote(t, pid))  # the retry
+        _ray.get(shard.ingest.remote(t, (0, 0)))
+        _ray.get(shard.ingest.remote(t, (0, 0)))  # the retry
         c = _ray.get(shard.counters.remote())
         assert c["events_seen"] == 7  # 3 + 4, counted ONCE
         assert c["pushes"] == 1 and c["buffered"] == 2
+        _ray.get(shard.ingest.remote(t, (1, 0)))  # the next unit, same rows
+        c = _ray.get(shard.counters.remote())
+        assert c["events_seen"] == 14 and c["pushes"] == 2
         # commit boundary bounds the dedup set: finalize clears it (no
         # task of a committed segment can retry past the decode barrier)
         import tempfile
@@ -141,35 +145,8 @@ class TestStreamingApply:
                 ledger={}, fingerprint_col="content",
             ))
         c2 = _ray.get(shard.counters.remote())
-        assert c2["pushes"] == 0 and c2["buffered"] == 0
+        assert c2 == {"events_seen": 0, "pushes": 0, "buffered": 0}
         _ray.kill(shard)
-
-    def test_push_lanes_are_independent(self):
-        """The two push-id hash lanes must be genuinely independent:
-        pd.util.hash_array IGNORES hash_key for numeric dtypes, so a
-        naive two-keyed-calls implementation yields bit-identical lanes
-        (the round-3 review catch — real id strength 2^-64, not 2^-128).
-        splitmix64 under distinct seeds is the keyed primitive."""
-        import numpy as np
-
-        from plugin_debezium_ray.pipelines.streaming_apply import (
-            _push_lanes,
-            _slice_push_id,
-        )
-
-        lsn = np.arange(1, 5001, dtype=np.int64)
-        seq = np.arange(5000, dtype=np.int64) % 7
-        a, b = _push_lanes(lsn, seq)
-        assert (a != b).all()  # no element-wise collision on real data
-        # and the seq column actually contributes (injective pair mix)
-        a2, _ = _push_lanes(lsn, seq + 1)
-        assert (a != a2).all()
-        # id is deterministic and order-independent over the same row set
-        idx = np.arange(100)
-        pid1 = _slice_push_id(a, b, lsn, idx)
-        pid2 = _slice_push_id(a, b, lsn, idx[::-1])
-        assert pid1 == pid2
-        assert pid1 != _slice_push_id(a, b, lsn, np.arange(1, 101))
 
     def test_schema_evolution_via_ddl_source(self, tmp_path):
         """DDL replays through the streaming path when ddl_source is
@@ -612,6 +589,87 @@ class TestDecodeUnits:
             res = job.run(self._read(paths[3:]))
         assert res.version == 2
         assert res.events_seen == self._rows(paths[3:]) == 300
+
+    def test_duplicate_input_counts_as_on_the_sort_route(self, tmp_path):
+        """A file read twice, as one read of ``[f, f]`` or as a union of
+        two reads, holds each of its events twice: the push route counts
+        them as the sort route does and writes the same bucket files."""
+        f = self._wal(tmp_path, 300, 1)[0]
+        inputs = {
+            "read": lambda: self._read([f, f]),
+            "blocks": lambda: self._read([f]).union(self._read([f])),
+        }
+        for source, ds in inputs.items():
+            sort = ReplayJob(CaptureConfig(num_buckets=8),
+                             str(tmp_path / f"sort-{source}"))
+            want = sort.run(ds())
+            push = ReplayJob(CaptureConfig(num_buckets=8),
+                             str(tmp_path / f"push-{source}"))
+            with push.streaming_session(num_shards=2):
+                got = push.run(ds())
+            assert got.metrics["decode_source"] == source
+            assert got.events_seen == want.events_seen == 600, source
+            assert _bucket_hashes(push) == _bucket_hashes(sort), source
+
+    def test_push_ids_count_rows_across_the_blocks_of_a_unit(self):
+        """A read task may yield several blocks: each batch is named by
+        its unit's index and its row offset within the whole unit."""
+        import pyarrow as pa
+        from ray.data.block import BlockMetadata
+        from ray.data.datasource import ReadTask
+
+        from plugin_debezium_ray.pipelines.streaming_apply import _decode_unit
+
+        blocks = [pa.table({"x": range(250)}), pa.table({"x": range(120)})]
+        unit = ReadTask(lambda: iter(blocks), BlockMetadata(370, None, None, None))
+        ids = []
+
+        def body(t, push_id):
+            ids.append((push_id, t.num_rows))
+            return pa.table({"n": [t.num_rows]})
+
+        assert _decode_unit._function(body, unit, 100, 5) == 370
+        assert ids == [((5, 0), 100), ((5, 100), 100), ((5, 200), 50),
+                       ((5, 250), 100), ((5, 350), 20)]
+
+    def test_retried_decode_task_counts_each_event_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A decode task's worker dies after its first push, on the first
+        attempt only, and Ray re-runs the task: the re-sent batch carries
+        the same id and is dropped, so each event counts once."""
+        from plugin_debezium_ray.pipelines import streaming_apply as sa
+
+        paths = self._wal(tmp_path, 1200, 4)
+        died = str(tmp_path / "died")
+        real = sa.make_decode_push
+
+        def dying_after_first_push(proj, shards, shard_of):
+            body = real(proj, shards, shard_of)
+
+            def decode_and_push(t, push_id=None):
+                out = body(t, push_id)
+                if not os.path.exists(died):
+                    open(died, "w").close()
+                    os._exit(1)
+                return out
+
+            return decode_and_push
+
+        job = ReplayJob(CaptureConfig(num_buckets=8, batch_size=100),
+                        str(tmp_path / "lake"))
+        with job.streaming_session(num_shards=2):
+            assert job.run(self._read(paths[:1])).version == 1
+            monkeypatch.setattr(sa, "make_decode_push", dying_after_first_push)
+            res = job.run(self._read(paths[1:]))
+        assert os.path.exists(died)
+        assert res.version == job.ckpt.current_version() == 2
+        assert res.events_seen == self._rows(paths[1:]) == 900
+        assert _state(job) == {
+            k: hashlib.sha256(r["content"].encode()).hexdigest()
+            for k, r in oracle_apply(1200, 120, seed=SEED,
+                                     include_snapshot=False).items()
+        }
 
 
 # -------------------------------------------------------- merge kernel

@@ -35,7 +35,7 @@ def test_vacuum_keeps_live_data(tmp_path):
         assert os.path.exists(p)
     after = job.read_table().to_pandas().sort_values(["repo", "path"])
     assert before.reset_index(drop=True).equals(after.reset_index(drop=True))
-    # old manifests gone, CURRENT still resolves
+    # old manifests gone, the newest still restores
     assert [x["version"] for x in list_history(str(tmp_path))] == [3]
     assert job.ckpt.current_version() == 3
 
