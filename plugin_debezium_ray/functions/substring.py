@@ -407,13 +407,13 @@ def find_duplicate_spans(
     duplicated k-gram: ``(id_col, n_dup_positions, n_spans,
     n_tokens_dup)`` where spans are maximal merged covered token runs.
     ``mode="strip"`` → the input rows with every duplicated span
-    removed from ``text_col`` (surviving tokens joined with single
-    spaces — canonical-whitespace output, the corpus-prep convention;
-    tokens come from ``str.split()``, which equals the ``\\S+``
-    tokenization).  Removal is the aggressive ExactSubstr variant: ALL
-    occurrences of a duplicated span are dropped, not all-but-one —
-    keep-one needs a global occurrence ranking that costs a second
-    shuffle and is rarely what corpus prep wants.
+    removed from ``text_col``.  Only a row that lost a span is re-joined,
+    its surviving tokens with single spaces (tokens come from
+    ``str.split()``, which equals the ``\\S+`` tokenization); every other
+    row keeps its whitespace.  Removal is the aggressive ExactSubstr
+    variant: ALL occurrences of a duplicated span are dropped, not
+    all-but-one — keep-one needs a global occurrence ranking that costs
+    a second shuffle and is rarely what corpus prep wants.
 
     ``dup_max_grams`` bounds the broadcast dup-gram table and RAISES
     when exceeded (the ``small_max_rows`` contract): 4M pairs ≈ 64 MB.

@@ -43,6 +43,7 @@ import os
 import secrets
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import pyarrow as pa
 
@@ -229,7 +230,7 @@ class ReplayJob:
         envelopes: "ray.data.Dataset",
         *,
         snapshot: "ray.data.Dataset | None" = None,
-        ddl_source: "ray.data.Dataset | pa.Table | bool | None" = None,
+        ddl_source: "bool | None" = None,
     ) -> ReplayResult:
         """One batch capture, the apply core behind every entry point:
         restore state → schema replay → route → atomic commit, on the
@@ -237,12 +238,15 @@ class ReplayJob:
         envelopes applies zero events (the CaptureTest.java:97-99
         contract).
 
-        ``ddl_source`` says where the commit's DDL events are: a Dataset
-        to scan for them; a Table of ``(lsn, seq, op, ddl)`` rows already
-        in the driver (``ddl_rows_from_parquet``, what ``run_from_paths``
-        passes); ``False`` for sources known to carry no DDL; or ``None``
-        to scan ``envelopes`` if it has a ``ddl`` column and otherwise
-        carry the registry forward."""
+        The input decides where the commit's DDL events come from.  A
+        bare ``read_parquet`` without a row ``filter=`` has them planned
+        from its own files' footers (``ddl_rows_from_parquet``), even
+        when the read prunes the ``ddl`` column; any other input is
+        scanned for them if it has a ``ddl`` column, and otherwise the
+        registry carries forward.  ``ddl_source=False`` says the input
+        carries no DDL, which spares the scan of a generated plan."""
+        if ddl_source is not None and ddl_source is not False:
+            raise TypeError("ddl_source must be None or False")
         t0 = time.monotonic()
         prep = self._prepare(envelopes, snapshot, ddl_source)
         if isinstance(prep, ReplayResult):
@@ -254,7 +258,7 @@ class ReplayJob:
         self,
         envelopes: "ray.data.Dataset",
         snapshot: "ray.data.Dataset | None",
-        ddl_source: "ray.data.Dataset | pa.Table | bool | None",
+        ddl_source: "bool | None",
     ) -> "_Prepared | ReplayResult":
         """Everything a commit decides before routing: restore the parent
         commit, replay schema history into the registry (ST3), and apply
@@ -304,24 +308,21 @@ class ReplayJob:
             (f.name, str(f.type))
             for f in payload_fields_of(_env_schema(envelopes))
         ]
+        ddl = None
         if ddl_source is None:
-            # scan envelopes for DDL only if they have a ddl column;
-            # otherwise carry the registry forward
-            sch = envelopes.schema()
-            if sch is None or "ddl" not in sch.names:
-                ddl_source = False
-        if isinstance(ddl_source, pa.Table):
-            # the rows of the row groups the footer planner read
-            metrics["registry_rows_read"] = ddl_source.num_rows
-        if ddl_source is False:
+            read = _bare_read(envelopes)
+            if read is not None and read.parquet is not None:
+                ddl = ddl_rows_from_parquet(*read.parquet, max_lsn=cfg.max_lsn)
+                # the rows of the row groups the footer planner read
+                metrics["registry_rows_read"] = ddl.num_rows
+            elif (sch := envelopes.schema()) is not None and "ddl" in sch.names:
+                ddl = envelopes
+        if ddl is None:
             reg = (SchemaRegistry.from_snapshot(prior) if prior
                    else SchemaRegistry(base_fields))
         else:
             reg = registry_from_envelopes(
-                ddl_source if ddl_source is not None else envelopes,
-                base_fields,
-                prior_snapshot=prior,
-                max_lsn=cfg.max_lsn,
+                ddl, base_fields, prior_snapshot=prior, max_lsn=cfg.max_lsn
             )
         metrics["registry_seconds"] = round(time.monotonic() - t_registry, 3)
 
@@ -400,22 +401,14 @@ class ReplayJob:
         **kw,
     ) -> ReplayResult:
         """Replay Parquet WAL segments by path (a file, a list of files or
-        a directory).  The apply reads only ``APPLY_COLUMNS``; the DDL
-        events come from the WAL files' footers
-        (``ddl_rows_from_parquet``), which read only the row groups whose
-        ``ddl`` column is not all null."""
-        from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
+        a directory): ``run_source`` of a ``ParquetWalSource``, which
+        reads only ``APPLY_COLUMNS``; the commit plans its DDL events
+        from the WAL files' footers."""
+        from plugin_debezium_ray.sources.protocol import ParquetWalSource
 
-        # apply reads only APPLY_COLUMNS — prune at the read so
-        # before-images / source structs never leave the file footers
-        env = ray.data.read_parquet(wal_paths, columns=list(APPLY_COLUMNS))
-        ddl = ddl_rows_from_parquet(wal_paths, max_lsn=self.cfg.max_lsn)
-        snap = (
-            ray.data.read_parquet(snapshot_paths, columns=list(APPLY_COLUMNS))
-            if snapshot_paths is not None
-            else None
+        return self.run_source(
+            ParquetWalSource(wal_paths, snapshot_paths=snapshot_paths), **kw
         )
-        return self.run(env, snapshot=snap, ddl_source=ddl, **kw)
 
     def run_segments(
         self,
@@ -433,7 +426,10 @@ class ReplayJob:
         offset ledger is a per-bucket high-water mark, so applying an
         older segment AFTER a newer one would filter the older events as
         already-applied.  Within one group, any order is fine (the merge
-        sorts by (lsn, seq) per key)."""
+        sorts by (lsn, seq) per key).  No segment group commits nothing
+        under either cadence."""
+        if not segment_groups:
+            return []
         if self.cfg.offset_commit_mode == OffsetCommitMode.ON_STOP:
             ds = segment_groups[0]
             for other in segment_groups[1:]:
@@ -884,3 +880,41 @@ def _env_schema(ds: "ray.data.Dataset") -> pa.Schema:
     return pa.schema(
         [pa.field(n, t) for n, t in zip(sch.names, sch.types)]
     )
+
+
+class _BareRead(NamedTuple):
+    """A Dataset whose logical plan is one ``Read`` op over known files;
+    ``parquet`` is ``(filesystem, files)`` of a ``read_parquet`` without a
+    row ``filter=``, whose footers hold every DDL row the read sees."""
+
+    datasource: "ray.data.Datasource"
+    files: list
+    ray_remote_args: dict
+    parquet: "tuple | None"
+
+
+def _bare_read(ds: "ray.data.Dataset") -> "_BareRead | None":
+    """The read ``ds`` is, when its logical plan is one ``Read`` op over
+    known input files; ``None`` for any other plan.  The engine's only
+    use of Ray Data's private plan API: the push route runs the read's
+    own tasks, and ``_prepare`` plans a parquet read's DDL from its
+    files.  A Ray upgrade that moves the plan fails
+    ``tests/test_streaming_apply.py::TestDecodeUnits`` instead of
+    silently sending bare reads through the executor."""
+    from ray.data._internal.datasource.parquet_datasource import (
+        ParquetDatasource,
+    )
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    op = ds._logical_plan.dag
+    if not isinstance(op, Read):
+        return None
+    files = op.infer_metadata().input_files
+    if not files:
+        return None
+    src = op._datasource_or_legacy_reader
+    parquet = None
+    if (isinstance(src, ParquetDatasource)
+            and src._to_batches_kwargs.get("filter") is None):
+        parquet = (src._filesystem, src._pq_paths)
+    return _BareRead(src, files, dict(op._ray_remote_args or {}), parquet)

@@ -88,7 +88,7 @@ import pyarrow.compute as pc
 import ray
 
 from plugin_debezium_ray.config import CaptureConfig
-from plugin_debezium_ray.pipelines.replay import _sort_route
+from plugin_debezium_ray.pipelines.replay import _bare_read, _sort_route
 from plugin_debezium_ray.stages.apply import (
     BUCKET_COL,
     WEIGHT_COL,
@@ -127,26 +127,6 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
         return pa.table({"n": pa.array([n], pa.int64())})
 
     return decode_and_push
-
-
-def _read_tasks(ds) -> tuple[list, dict] | None:
-    """``(read tasks, ray_remote_args)`` of ``ds`` when its logical plan
-    is one ``Read`` op over known input files: the datasource's
-    ``get_read_tasks``, one task per file; ``None`` for any other plan.
-    The push route's only use of Ray Data's private plan API, so a Ray
-    upgrade that moves it fails one test
-    (``tests/test_streaming_apply.py::TestDecodeUnits``) instead of
-    silently sending bare reads through the executor."""
-    from ray.data._internal.logical.operators.read_operator import Read
-
-    op = ds._logical_plan.dag
-    if not isinstance(op, Read):
-        return None
-    files = op.infer_metadata().input_files
-    if not files:
-        return None
-    tasks = op._datasource_or_legacy_reader.get_read_tasks(len(files))
-    return tasks, dict(op._ray_remote_args or {})
 
 
 @ray.remote
@@ -388,7 +368,7 @@ class StreamingSession:
         shards, then every shard finalizes its buckets.
 
         - Units: the input's read tasks, one per file, when it is a bare
-          file read (``_read_tasks``); otherwise the non-empty blocks Ray
+          file read (``_bare_read``); otherwise the non-empty blocks Ray
           Data streams out of its plan.  Each unit is one ``_decode_unit``
           task running the ``make_decode_push`` body, which is shipped
           once with ``ray.put``.  Units are numbered in submission
@@ -437,10 +417,10 @@ class StreamingSession:
         """Run ``_push``'s decode tasks; returns (projected rows pushed,
         tasks run, ``"read"`` or ``"blocks"``)."""
         body = ray.put(make_decode_push(prep.project(), self.shards, self.shard_of))
-        read = _read_tasks(prep.ds)
+        read = _bare_read(prep.ds)
         if read is not None:
-            units, remote_args = read
-            source, decode = "read", _decode_unit.options(**remote_args)
+            units = read.datasource.get_read_tasks(len(read.files))
+            source, decode = "read", _decode_unit.options(**read.ray_remote_args)
         else:
             units = (
                 ref

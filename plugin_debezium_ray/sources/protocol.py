@@ -5,9 +5,10 @@ with one declarative property interface per database; ours is a small
 protocol any envelope producer implements:
 
     envelopes()  -> Dataset of envelope rows (the change stream)
-    ddl_source() -> the DDL rows for the schema-history replay: a Table
-                    of (lsn, seq, op, ddl) rows, a Dataset to scan, or
-                    False when the source emits no DDL
+    ddl_source() -> None: the commit takes the schema history's DDL rows
+                    from the envelopes (a bare parquet read's footers, or
+                    a scan of their ``ddl`` column); False when the
+                    source emits no DDL, so nothing is scanned
     snapshot()   -> Dataset of op=r rows for the initial load (or None)
     needs_schema_history -> checkpoint strictness (ST2)
 
@@ -20,12 +21,10 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-import pyarrow as pa
-
 import ray.data
 
 from plugin_debezium_ray.sources.binlog import binlog, snapshot_envelopes
-from plugin_debezium_ray.state.schema_registry import ddl_rows_from_parquet
+from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
 
 @runtime_checkable
@@ -34,13 +33,15 @@ class Source(Protocol):
 
     def envelopes(self) -> "ray.data.Dataset": ...
 
-    def ddl_source(self) -> "pa.Table | ray.data.Dataset | bool": ...
+    def ddl_source(self) -> "bool | None": ...
 
     def snapshot(self) -> "ray.data.Dataset | None": ...
 
 
 class ParquetWalSource:
-    """Envelope segments on disk/object storage — the production source."""
+    """Envelope segments on disk/object storage — the production source.
+    Both reads keep only ``APPLY_COLUMNS``; the commit plans the WAL's
+    DDL rows from the files' footers."""
 
     needs_schema_history = True
 
@@ -49,16 +50,15 @@ class ParquetWalSource:
         self.snapshot_paths = snapshot_paths
 
     def envelopes(self):
-        return ray.data.read_parquet(self.wal_paths)
+        return ray.data.read_parquet(self.wal_paths, columns=list(APPLY_COLUMNS))
 
     def ddl_source(self):
-        # planned from the footers: only row groups that can hold DDL
-        return ddl_rows_from_parquet(self.wal_paths)
+        return None  # planned from the read's own footers
 
     def snapshot(self):
         if self.snapshot_paths is None:
             return None
-        return ray.data.read_parquet(self.snapshot_paths)
+        return ray.data.read_parquet(self.snapshot_paths, columns=list(APPLY_COLUMNS))
 
 
 class SyntheticBinlogSource:

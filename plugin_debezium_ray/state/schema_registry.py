@@ -4,11 +4,13 @@ The reference accumulates DDL in a schema-history file
 (`AbstractDebeziumTask.java:453-518,535-538`) consumed by the engine; we
 hold the current payload schema + an ordered evolution log, snapshotted
 into every checkpoint manifest (the atomic offsets+history contract of
-ST2).  A plain class, built driver-side from the binlog's DDL rows.  For
-parquet WAL files the DDL rows are planned from the footers
-(``ddl_rows_from_parquet``): only row groups whose ``ddl`` column is not
-all null are read, which plays the part of the reference's small
-schema-history file.
+ST2).  A plain class, built driver-side from the binlog's DDL rows.  When
+a commit's input is a bare ``read_parquet`` of WAL files, the DDL rows
+are planned from those files' footers (``ddl_rows_from_parquet``), even
+if the read prunes the ``ddl`` column: only row groups whose ``ddl``
+column is not all null are read, which plays the part of the reference's
+small schema-history file.  Any other input is scanned for them
+(``registry_from_envelopes``).
 
 DDL payloads (JSON in the envelope's ``ddl`` column, op='ddl'):
   {"action": "add_column", "name": ..., "type": "<arrow alias>", "default": ...}
@@ -18,7 +20,6 @@ DDL payloads (JSON in the envelope's ``ddl`` column, op='ddl'):
 from __future__ import annotations
 
 import json
-import os
 
 import pyarrow as pa
 
@@ -155,35 +156,13 @@ def registry_from_envelopes(
     return reg
 
 
-def _parquet_files(paths) -> list[tuple["pafs.FileSystem", str]]:
-    """``(filesystem, path)`` of every file ``ray.data.read_parquet``
-    reads for ``paths``: a file, a list of files, or a directory (walked
-    recursively, skipping names that start with ``.`` or ``_``), in
-    sorted order within a directory."""
-    import pyarrow.fs as pafs
-
-    out = []
-    for path in [paths] if isinstance(paths, str) else paths:
-        try:
-            fs, p = pafs.FileSystem.from_uri(path)
-        except (pa.ArrowInvalid, ValueError):  # a relative local path
-            fs, p = pafs.LocalFileSystem(), os.path.abspath(path)
-        if fs.get_file_info(p).type != pafs.FileType.Directory:
-            out.append((fs, p))
-            continue
-        base = p.rstrip("/") + "/"
-        infos = fs.get_file_info(pafs.FileSelector(p, recursive=True))
-        out += sorted(
-            (fs, i.path) for i in infos
-            if i.is_file and not i.path[len(base):].startswith((".", "_"))
-        )
-    return out
-
-
-def ddl_rows_from_parquet(paths, *, max_lsn: int | None = None) -> pa.Table:
-    """The ``DDL_COLUMNS`` rows of the parquet row groups under ``paths``
-    that can hold DDL, planned from each file's own footer and read in
-    the driver — no Ray Data run.
+def ddl_rows_from_parquet(filesystem: "pyarrow.fs.FileSystem", files: list[str],
+                          *, max_lsn: int | None = None) -> pa.Table:
+    """The ``DDL_COLUMNS`` rows of the parquet row groups of ``files`` on
+    ``filesystem`` that can hold DDL, planned from each file's own footer
+    and read in the driver — no Ray Data run.  ``ReplayJob`` passes the
+    files and filesystem of a ``read_parquet`` input, so the files are
+    the ones Ray Data resolved for that read.
 
     A file without a ``ddl`` column contributes nothing.  A row group is
     skipped only when its footer proves it holds no DDL: the ``ddl``
@@ -195,8 +174,8 @@ def ddl_rows_from_parquet(paths, *, max_lsn: int | None = None) -> pa.Table:
     import pyarrow.parquet as pq
 
     parts = []
-    for fs, path in _parquet_files(paths):
-        with fs.open_input_file(path) as f:
+    for path in files:
+        with filesystem.open_input_file(path) as f:
             pf = pq.ParquetFile(f)
             md = pf.metadata
             cols = [md.schema.column(j).path for j in range(md.num_columns)]

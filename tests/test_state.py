@@ -15,7 +15,7 @@ import ray.data
 
 from plugin_debezium_ray.__main__ import cmd_lineage
 from plugin_debezium_ray.config import CaptureConfig
-from plugin_debezium_ray.pipelines.replay import ReplayJob
+from plugin_debezium_ray.pipelines.replay import ReplayJob, _bare_read
 from plugin_debezium_ray.sources.binlog import binlog, ddl_events_table
 from plugin_debezium_ray.state.checkpoint import (
     CheckpointManager,
@@ -351,15 +351,21 @@ def _write(t, path, **kw) -> str:
 
 
 class TestDdlPlanner:
-    """``ddl_rows_from_parquet`` plans the schema-history replay from the
-    parquet footers; every case gives the registry the Dataset scan
+    """``ddl_rows_from_parquet`` plans the schema-history replay of a
+    ``read_parquet`` input from the footers of the files Ray Data
+    resolved for it; every case gives the registry the Dataset scan
     gives."""
 
     @staticmethod
-    def _registry(paths, scan_paths=None, max_lsn=None):
+    def _plan(paths, max_lsn=None) -> pa.Table:
+        """The DDL rows a commit of ``read_parquet(paths)`` plans."""
+        read = _bare_read(ray.data.read_parquet(paths))
+        return ddl_rows_from_parquet(*read.parquet, max_lsn=max_lsn)
+
+    def _registry(self, paths, scan_paths=None, max_lsn=None):
         """(registry snapshot, planned table); asserts the footer-planned
         registry equals the Dataset scan's over ``scan_paths``."""
-        planned = ddl_rows_from_parquet(paths, max_lsn=max_lsn)
+        planned = self._plan(paths, max_lsn=max_lsn)
         got = registry_from_envelopes(planned, BASE, max_lsn=max_lsn)
         want = registry_from_envelopes(
             ray.data.read_parquet(scan_paths or paths), BASE, max_lsn=max_lsn
@@ -408,7 +414,7 @@ class TestDdlPlanner:
     def test_file_without_ddl_column_contributes_nothing(self, tmp_path):
         plain = _write(_data(range(1, 10)).drop_columns(["ddl"]),
                        str(tmp_path / "plain.parquet"))
-        assert ddl_rows_from_parquet(plain).num_rows == 0
+        assert self._plan(plain).num_rows == 0
         _, b = self._two_files(tmp_path)
         snap, planned = self._registry([plain, b], scan_paths=[b])
         assert len(snap["log"]) == 2 and planned.num_rows == 41

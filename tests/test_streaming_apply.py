@@ -148,9 +148,9 @@ class TestStreamingApply:
         assert c2 == {"events_seen": 0, "pushes": 0, "buffered": 0}
         _ray.kill(shard)
 
-    def test_schema_evolution_via_ddl_source(self, tmp_path):
-        """DDL replays through the streaming path when ddl_source is
-        given (same ST3 contract as the sort path)."""
+    def test_schema_evolution_by_the_default_ddl_rule(self, tmp_path):
+        """DDL in the input replays through the streaming path under the
+        default rule (same ST3 contract as the sort path)."""
         from plugin_debezium_ray.sources.binlog import ddl_events_table
 
         ddl = ray.data.from_arrow(
@@ -165,8 +165,7 @@ class TestStreamingApply:
         )
         env = binlog(N_EVENTS, N_KEYS, seed=SEED).union(ddl)
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path))
-        pushed(job, job.run, env, snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
-               ddl_source=env)
+        pushed(job, job.run, env, snapshot=snapshot_envelopes(N_KEYS, seed=SEED))
         tab = job.read_table().to_pandas()
         assert "language" in tab.columns and "lang" not in tab.columns
         assert set(tab["license"]) == {"unknown"}
@@ -277,6 +276,13 @@ class TestStreamingSoak:
         assert "language" in tab.columns and "lang" not in tab.columns
         assert set(tab["license"]) == {"unknown"}
         assert tab["language"].notna().all()  # old rows read renamed
+
+    @pytest.mark.parametrize("mode", list(OffsetCommitMode))
+    def test_no_segments_commit_nothing(self, tmp_path, mode):
+        job = ReplayJob(CaptureConfig(num_buckets=8, offset_commit_mode=mode),
+                        str(tmp_path))
+        assert job.run_segments([]) == []
+        assert job.ckpt.restore() is None
 
     def test_session_state_matches_separate_runs(self, tmp_path):
         """State after N commits through one pool == N commits through
@@ -448,6 +454,76 @@ class TestOneApplySurface:
         assert set(_state(job)) == set(
             oracle_apply(600, 60, seed=SEED, include_snapshot=False)
         )
+
+    RENAME = {"action": "rename_column", "from": "lang", "to": "language"}
+
+    def _ddl_wal(self, tmp_path) -> list[str]:
+        """Two WAL segment files: 600 events, then a rename DDL and 300
+        more events."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from plugin_debezium_ray.sources.binlog import ddl_events_table
+
+        def table(ds):
+            return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+        segs = [table(binlog(600, 60, seed=SEED)),
+                pa.concat_tables([
+                    ddl_events_table([(10_001, self.RENAME)]),
+                    table(binlog(300, 60, seed=SEED, base_lsn=10_001)),
+                ], promote_options="permissive")]
+        paths = [str(tmp_path / f"seg-{i}.parquet") for i in (1, 2)]
+        for t, p in zip(segs, paths):
+            pq.write_table(t, p)
+        return paths
+
+    @pytest.mark.parametrize("route", ["sort", "session"])
+    def test_pruned_read_applies_its_own_ddl(self, tmp_path, route):
+        """A commit of ``read_parquet(columns=APPLY_COLUMNS)`` takes the
+        DDL of its own files from their footers, though the read drops
+        the ``ddl`` column: the rename in segment 2 reaches the lake and
+        the manifest's schema log on both routes."""
+        from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
+
+        paths = self._ddl_wal(tmp_path)
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        reads = [ray.data.read_parquet(p, columns=list(APPLY_COLUMNS))
+                 for p in paths]
+        if route == "sort":
+            results = [job.run(ds) for ds in reads]
+        else:
+            with job.streaming_session(num_shards=2) as session:
+                results = [session.apply_segment(ds) for ds in reads]
+        assert [r.events_seen for r in results] == [600, 300]
+        tab = job.read_table().to_pandas()
+        assert "language" in tab.columns and "lang" not in tab.columns
+        assert tab["language"].notna().all()  # segment 1's rows renamed
+        assert job.ckpt.restore()["schema"]["log"] == [self.RENAME]
+        assert results[1].metrics["registry_rows_read"] == 301
+
+    def test_filtered_read_keeps_the_scan_rule(self, tmp_path):
+        """A row ``filter=`` chooses which events the commit sees, so a
+        filtered read is scanned like any other plan: the filter that
+        drops the DDL row leaves the schema as it was."""
+        import pyarrow.dataset as pds
+
+        paths = self._ddl_wal(tmp_path)
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        res = job.run(ray.data.read_parquet(
+            paths, filter=pds.field("op") != "ddl"))
+        assert res.events_seen == 900
+        assert "registry_rows_read" not in res.metrics
+        assert "lang" in job.read_table().schema().names
+        assert job.ckpt.restore()["schema"]["log"] == []
+
+    def test_ddl_source_is_none_or_false(self, tmp_path):
+        job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
+        env = binlog(40, 5, seed=SEED)
+        for bad in (env, True):
+            with pytest.raises(TypeError, match="None or False"):
+                job.run(env, ddl_source=bad)
+        assert job.ckpt.restore() is None
 
     def test_open_session_routes_every_entry_point(self, tmp_path):
         import glob
