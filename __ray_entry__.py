@@ -209,7 +209,7 @@ def q_cdc_lww_apply(sf_dir: str):
 
 def q_cdc_six_ops(sf_dir: str):
     """ALL SIX envelope ops (c/u/d/r + t truncate + m message) through
-    the full streaming apply: truncate deletes its key
+    the full apply: truncate deletes its key
     (`AbstractDebeziumTask.java:813-817`), keyless messages flow through
     format but mutate no row (`ChangeConsumer.java:196-213`).  The WAL
     is the deterministic generator (no SQL view exists for it), so the
@@ -219,11 +219,10 @@ def q_cdc_six_ops(sf_dir: str):
 
     with tempfile.TemporaryDirectory(prefix="sixops_", dir="/tmp") as d:
         job = ReplayJob(CaptureConfig(num_buckets=8), os.path.join(d, "lake"))
-        with job.streaming_session():
-            job.run(
-                binlog(2000, 150, seed=13, p_truncate=0.05, p_message=0.05),
-                snapshot=snapshot_envelopes(150, seed=13),
-            )
+        job.run(
+            binlog(2000, 150, seed=13, p_truncate=0.05, p_message=0.05),
+            snapshot=snapshot_envelopes(150, seed=13),
+        )
         tab = job.read_table().to_pandas()
     return (
         tab[["repo", "path", "commit", "lang"]]

@@ -28,12 +28,16 @@ Every commit runs ONE core, ``run``:
                        (``pipelines/streaming_apply.py``)
     _commit   stats rows → manifest → put-if-absent manifest create
 
-The job picks the route from one fact: whether a ``StreamingSession``
-(a live shard pool) is open on it.  Then every commit of every entry
-point — ``run``, ``run_segments``, ``run_from_paths``, ``run_source``,
-``poll``, ``follow_apply`` — takes the push route; otherwise the sort
-route.  Both routes write byte-identical bucket files, so they are
-interchangeable on one lake.
+The job picks the route from two facts: whether a ``StreamingSession``
+(a live shard pool) is open on it, and whether the commit's input is a
+file read (``_file_reads``: one ``read_parquet``, or a union of such
+reads, as a snapshot plus WAL or ON_STOP's segments are).  A file read
+committed by any entry point — ``run``, ``run_segments``,
+``run_from_paths``, ``run_source``, ``poll``, ``follow_apply`` — while
+a session is open takes the push route; every other commit (no session,
+or a generated, limited or materialized input) takes the sort route.
+Both routes write byte-identical bucket files, so they are
+interchangeable on one lake, even within one session.
 """
 
 from __future__ import annotations
@@ -239,11 +243,11 @@ class ReplayJob:
         contract).
 
         The input decides where the commit's DDL events come from.  A
-        bare ``read_parquet`` without a row ``filter=`` has them planned
-        from its own files' footers (``ddl_rows_from_parquet``), even
-        when the read prunes the ``ddl`` column; any other input is
-        scanned for them if it has a ``ddl`` column, and otherwise the
-        registry carries forward.  ``ddl_source=False`` says the input
+        ``read_parquet``, or a union of them, without a row ``filter=``
+        has them planned from its own files' footers
+        (``ddl_rows_from_parquet``), even when the reads prune the
+        ``ddl`` column; any other input is scanned for them if it has a
+        ``ddl`` column, and otherwise the registry carries forward.  ``ddl_source=False`` says the input
         carries no DDL, which spares the scan of a generated plan."""
         if ddl_source is not None and ddl_source is not False:
             raise TypeError("ddl_source must be None or False")
@@ -304,18 +308,25 @@ class ReplayJob:
 
         t_registry = time.monotonic()
         prior = (parent or {}).get("schema")
+        reads = _file_reads(envelopes)
+
+        def schema() -> "pa.Schema | None":
+            # a file read's schema is in its plan; any other plan must run
+            sch = (reads and reads[0].schema) or envelopes.schema()
+            return sch and pa.schema(zip(sch.names, sch.types))
+
         base_fields = [] if prior else [
-            (f.name, str(f.type))
-            for f in payload_fields_of(_env_schema(envelopes))
+            (f.name, str(f.type)) for f in payload_fields_of(schema())
         ]
         ddl = None
         if ddl_source is None:
-            read = _bare_read(envelopes)
-            if read is not None and read.parquet is not None:
-                ddl = ddl_rows_from_parquet(*read.parquet, max_lsn=cfg.max_lsn)
+            if reads and all(r.parquet for r in reads):
+                ddl = pa.concat_tables([
+                    ddl_rows_from_parquet(*r.parquet, max_lsn=cfg.max_lsn) for r in reads
+                ], promote_options="permissive")
                 # the rows of the row groups the footer planner read
                 metrics["registry_rows_read"] = ddl.num_rows
-            elif (sch := envelopes.schema()) is not None and "ddl" in sch.names:
+            elif (sch := schema()) is not None and "ddl" in sch.names:
                 ddl = envelopes
         if ddl is None:
             reg = (SchemaRegistry.from_snapshot(prior) if prior
@@ -875,46 +886,47 @@ def _idle_bounded(
         t.join(timeout=0.3)
 
 
-def _env_schema(ds: "ray.data.Dataset") -> pa.Schema:
-    sch = ds.schema()
-    return pa.schema(
-        [pa.field(n, t) for n, t in zip(sch.names, sch.types)]
-    )
-
-
-class _BareRead(NamedTuple):
-    """A Dataset whose logical plan is one ``Read`` op over known files;
-    ``parquet`` is ``(filesystem, files)`` of a ``read_parquet`` without a
-    row ``filter=``, whose footers hold every DDL row the read sees."""
+class _FileRead(NamedTuple):
+    """One ``Read`` op over known input files; ``parquet`` is
+    ``(filesystem, files)`` of a ``read_parquet`` without a row
+    ``filter=``, whose footers hold every DDL row the read sees."""
 
     datasource: "ray.data.Datasource"
     files: list
     ray_remote_args: dict
     parquet: "tuple | None"
+    #: the read's row schema, from its plan (no Ray Data run)
+    schema: "pa.Schema | None"
 
 
-def _bare_read(ds: "ray.data.Dataset") -> "_BareRead | None":
-    """The read ``ds`` is, when its logical plan is one ``Read`` op over
-    known input files; ``None`` for any other plan.  The engine's only
-    use of Ray Data's private plan API: the push route runs the read's
-    own tasks, and ``_prepare`` plans a parquet read's DDL from its
-    files.  A Ray upgrade that moves the plan fails
+def _file_reads(ds: "ray.data.Dataset") -> "list[_FileRead] | None":
+    """The reads ``ds`` is made of, in plan order, when its logical plan
+    is one ``Read`` op or a nested ``Union`` of them (ON_STOP's
+    ``Union(Union(R1, R2), R3)``, a snapshot read joined to a WAL read),
+    each over known input files; ``None`` for any other plan.  The
+    engine's only use of Ray Data's private plan API: the push route runs
+    the reads' own tasks, and ``_prepare`` plans parquet reads' DDL from
+    their files.  A Ray upgrade that moves the plan fails
     ``tests/test_streaming_apply.py::TestDecodeUnits`` instead of
-    silently sending bare reads through the executor."""
+    silently sending file reads to the sort route."""
     from ray.data._internal.datasource.parquet_datasource import (
         ParquetDatasource,
     )
+    from ray.data._internal.logical.operators.n_ary_operator import Union
     from ray.data._internal.logical.operators.read_operator import Read
 
-    op = ds._logical_plan.dag
-    if not isinstance(op, Read):
-        return None
-    files = op.infer_metadata().input_files
-    if not files:
-        return None
-    src = op._datasource_or_legacy_reader
-    parquet = None
-    if (isinstance(src, ParquetDatasource)
-            and src._to_batches_kwargs.get("filter") is None):
-        parquet = (src._filesystem, src._pq_paths)
-    return _BareRead(src, files, dict(op._ray_remote_args or {}), parquet)
+    reads, ops = [], [ds._logical_plan.dag]
+    while ops:
+        op = ops.pop()
+        if isinstance(op, Union):
+            ops.extend(reversed(op.input_dependencies))
+            continue
+        if not isinstance(op, Read) or not (files := op.infer_metadata().input_files):
+            return None
+        src = op._datasource_or_legacy_reader
+        planned = (isinstance(src, ParquetDatasource)
+                   and src._to_batches_kwargs.get("filter") is None)
+        reads.append(_FileRead(src, files, dict(op._ray_remote_args or {}),
+                               (src._filesystem, src._pq_paths) if planned else None,
+                               op.infer_schema()))
+    return reads

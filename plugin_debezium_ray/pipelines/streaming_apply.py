@@ -19,25 +19,24 @@ writes idempotent: the driver numbers the decode units in the order it
 submits them, every batch is pushed as ``(unit index, row offset within
 the unit)``, and a shard drops an id it has already accepted since its
 last drain.  A retried task re-reads the same unit — one file's read
-task, or an immutable block — and so re-sends the same ids, while rows
-that really repeat in the input (a file listed twice, a self-union) are
-counted each time, as the sort route counts them.  Shards compact
-incrementally (winner-reduce their accumulated slices) whenever buffered
-rows exceed a threshold, so steady-state memory per shard is O(its share
-of live keys), not O(its share of the stream).
+task — and so re-sends the same ids, while rows that really repeat in
+the input (a file listed twice, a self-union) are counted each time, as
+the sort route counts them.  Shards compact incrementally
+(winner-reduce their accumulated slices) whenever buffered rows exceed
+a threshold, so steady-state memory per shard is O(its share of live
+keys), not O(its share of the stream).
 
-The decode tasks are plain Ray tasks over **units** of the input, not a
-Ray Data execution: a tail commit of a few hundred rows otherwise pays
-more for the streaming executor than for the work.  When the input is a
-bare file read (its logical plan is one ``Read`` op, as
-``read_parquet(paths, columns=APPLY_COLUMNS)`` is), the units are that
-read's own ``ReadTask`` objects, one per input file, with its column pruning,
-filters, partitioning and ``ray_remote_args``; any other plan (a
-generated source, ``limit``, a snapshot ``union``, a materialized
-Dataset) runs through Ray Data and each non-empty output block is a
-unit.  Every manifest of the route records ``decode_tasks`` and
-``decode_source`` (``"read"`` / ``"blocks"``).  The sort route still
-runs its Dataset pipeline.
+The decode tasks are plain Ray tasks over the input's own ``ReadTask``
+objects, not a Ray Data execution: a tail commit of a few hundred rows
+otherwise pays more for the streaming executor than for the work.  The
+route takes only file reads (``_file_reads``): one ``read_parquet(paths,
+columns=APPLY_COLUMNS)`` — one read task per file, with its column
+pruning, filters, partitioning and ``ray_remote_args`` — or a union of
+them, whose units are each read's tasks in turn.  Any other input (a
+generated source, ``limit``, a materialized Dataset) commits on the
+sort route inside the session; the shards' held tables then trust only
+the buckets that commit left on their paths.  Every push manifest
+records ``decode_tasks``.
 
 Finalize hands each shard's drained rows to ONE ``BucketMerge`` call
 per commit (the sort route calls the same kernel once per bucket) —
@@ -61,7 +60,7 @@ held at once anyway.  Each manifest counts the disk reads as
 ``prior_files_read``.
 
 ``StreamingSession`` owns one pool across commits.  While it is open,
-its job routes every commit here (``run``, ``run_segments``,
+its job routes every file-read commit here (``run``, ``run_segments``,
 ``run_from_paths``, ``poll``; ``follow_apply`` holds one for its whole
 lifetime); a one-shot push is ``with job.streaming_session():
 job.run(ds)``.  The pool serves one lake: multi-table capture
@@ -88,7 +87,7 @@ import pyarrow.compute as pc
 import ray
 
 from plugin_debezium_ray.config import CaptureConfig
-from plugin_debezium_ray.pipelines.replay import _bare_read, _sort_route
+from plugin_debezium_ray.pipelines.replay import _file_reads, _sort_route
 from plugin_debezium_ray.stages.apply import (
     BUCKET_COL,
     WEIGHT_COL,
@@ -130,20 +129,18 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
 
 
 @ray.remote
-def _decode_unit(body, unit, batch_size: int, index: int) -> int:
-    """One decode task: the rows of ``unit`` — a ``ReadTask`` it runs, or
-    a block Ray resolved — through ``body`` (``make_decode_push``)
-    ``batch_size`` rows at a time.  ``index`` is the unit's place in the
-    commit's plan; each batch is pushed as ``(index, row offset of the
-    batch within the unit)``, counting across the blocks a read task
-    yields, so a retry of the task sends the same ids again.  Returns
-    the projected rows pushed, once every push is owned by its shard."""
+def _decode_unit(body, task, batch_size: int, index: int) -> int:
+    """One decode task: the rows of the ``ReadTask`` ``task`` through
+    ``body`` (``make_decode_push``) ``batch_size`` rows at a time.
+    ``index`` is the task's place in the commit's plan; each batch is
+    pushed as ``(index, row offset of the batch within the task)``,
+    counting across the blocks the task yields, so a retry of the task
+    sends the same ids again.  Returns the projected rows pushed, once
+    every push is owned by its shard."""
     from ray.data.block import BlockAccessor
-    from ray.data.datasource import ReadTask
 
-    blocks = unit() if isinstance(unit, ReadTask) else (unit,)
     n = offset = 0
-    for block in blocks:
+    for block in task():
         t = BlockAccessor.for_block(block).to_arrow()
         for lo in range(0, t.num_rows, batch_size):
             n += body(t.slice(lo, batch_size), (index, offset + lo))["n"][0].as_py()
@@ -321,11 +318,11 @@ def _make_shard_pool(cfg: CaptureConfig, num_shards: int | None):
 
 class StreamingSession:
     """The job's live shard pool: ONE long-lived pool of MergeShard
-    actors.  While the session is open, every commit of its job takes
-    the push route (``_push``), one atomic manifest commit each — the
-    engine a continuous ingester (``ReplayJob.follow_apply``) keeps open
-    for its whole lifetime instead of paying shard-actor startup per
-    arrival batch.  A job has at most one open session.
+    actors.  While the session is open, every file-read commit of its
+    job takes the push route (``_push``), one atomic manifest commit
+    each — the engine a continuous ingester (``ReplayJob.follow_apply``)
+    keeps open for its whole lifetime instead of paying shard-actor
+    startup per arrival batch.  A job has at most one open session.
 
     The pool survives across commits (the multi-commit soak surface):
     ``seen_pushes``/``events_seen`` reset at each commit boundary,
@@ -364,30 +361,34 @@ class StreamingSession:
         return self.job.run(seg)
 
     def _push(self, prep) -> tuple[list[dict], dict]:
-        """The push route: decode tasks push the input's rows to the
-        shards, then every shard finalizes its buckets.
+        """The push route for a file-read input: decode tasks push its
+        rows to the shards, then every shard finalizes its buckets.  Any
+        other input commits on ``_sort_route``.
 
-        - Units: the input's read tasks, one per file, when it is a bare
-          file read (``_bare_read``); otherwise the non-empty blocks Ray
-          Data streams out of its plan.  Each unit is one ``_decode_unit``
-          task running the ``make_decode_push`` body, which is shipped
-          once with ``ray.put``.  Units are numbered in submission
-          order; a batch's push id is ``(unit index, row offset)``.
+        - Units: each read's read tasks, one per file, read after read
+          (``_file_reads``).  Each unit is one ``_decode_unit`` task,
+          submitted with its read's ``ray_remote_args``, running the
+          ``make_decode_push`` body, which is shipped once with
+          ``ray.put``.  Units are numbered in submission order; a
+          batch's push id is ``(unit index, row offset)``.
         - Window: at most the cluster's CPU count of tasks in flight;
           the driver submits the next unit as one finishes.
         - Barrier: every task is drained before finalize, and a task
           finishes only once its pushes are owned, so no task of this
           commit can retry after ``finalize`` clears ``seen_pushes``.
-        - Error path: on the first failed task (or a failing Ray Data
-          plan) the driver submits no further unit, waits out the ones
-          in flight, has every shard ``discard`` what this commit
-          pushed, and raises: no push of the failed commit lands after
-          this returns, and none is applied by the next commit.  It
-          does not cancel the tasks in flight: a cancel can stop a task
-          between sending its pushes and their being owned."""
+        - Error path: on the first failed task the driver submits no
+          further unit, waits out the ones in flight, has every shard
+          ``discard`` what this commit pushed, and raises: no push of
+          the failed commit lands after this returns, and none is
+          applied by the next commit.  It does not cancel the tasks in
+          flight: a cancel can stop a task between sending its pushes
+          and their being owned."""
+        reads = _file_reads(prep.ds)
+        if reads is None:
+            return _sort_route(prep)
         self.commits += 1
         t_decode = time.monotonic()
-        pushed, tasks, source = self._decode(prep)
+        pushed, tasks = self._decode(prep, reads)
         t_final = time.monotonic()
         metrics = {
             # phase latencies (per-commit lineage): decode+push tasks vs
@@ -396,7 +397,6 @@ class StreamingSession:
             "decode_seconds": round(t_final - t_decode, 4),
             "finalize_seconds": 0,
             "decode_tasks": tasks,
-            "decode_source": source,
             "streaming_apply": True,
             "streaming_session_commit": self.commits,
             "num_shards": len(self.shards),
@@ -413,30 +413,23 @@ class StreamingSession:
         metrics["shard_nodes"] = self.shard_nodes
         return [r for rows in stats for r in rows], metrics
 
-    def _decode(self, prep) -> tuple[int, int, str]:
-        """Run ``_push``'s decode tasks; returns (projected rows pushed,
-        tasks run, ``"read"`` or ``"blocks"``)."""
+    def _decode(self, prep, reads) -> tuple[int, int]:
+        """Run ``_push``'s decode tasks over ``reads``; returns (projected
+        rows pushed, tasks run)."""
         body = ray.put(make_decode_push(prep.project(), self.shards, self.shard_of))
-        read = _bare_read(prep.ds)
-        if read is not None:
-            units = read.datasource.get_read_tasks(len(read.files))
-            source, decode = "read", _decode_unit.options(**read.ray_remote_args)
-        else:
-            units = (
-                ref
-                for bundle in prep.ds.iter_internal_ref_bundles()
-                for ref, meta in bundle.blocks
-                if meta.num_rows != 0
-            )
-            source, decode = "blocks", _decode_unit
+        units = (
+            (_decode_unit.options(**read.ray_remote_args), task)
+            for read in reads
+            for task in read.datasource.get_read_tasks(len(read.files))
+        )
         pending: list = []
         pushed = tasks = 0
         try:
-            for unit in units:
+            for decode, task in units:
                 if len(pending) >= self._window:
                     done, pending = ray.wait(pending)
                     pushed += ray.get(done[0])
-                pending.append(decode.remote(body, unit, prep.cfg.batch_size, tasks))
+                pending.append(decode.remote(body, task, prep.cfg.batch_size, tasks))
                 tasks += 1
             pushed += sum(ray.get(pending))
         except Exception:
@@ -445,7 +438,7 @@ class StreamingSession:
             drops = [s.discard.remote() for s in self.shards]
             ray.wait(drops, num_returns=len(drops))
             raise
-        return pushed, tasks, source
+        return pushed, tasks
 
     def close(self) -> None:
         if not self._closed:

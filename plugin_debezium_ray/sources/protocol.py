@@ -6,7 +6,7 @@ protocol any envelope producer implements:
 
     envelopes()  -> Dataset of envelope rows (the change stream)
     ddl_source() -> None: the commit takes the schema history's DDL rows
-                    from the envelopes (a bare parquet read's footers, or
+                    from the envelopes (parquet reads' footers, or
                     a scan of their ``ddl`` column); False when the
                     source emits no DDL, so nothing is scanned
     snapshot()   -> Dataset of op=r rows for the initial load (or None)

@@ -5,8 +5,8 @@ The reference accumulates DDL in a schema-history file
 hold the current payload schema + an ordered evolution log, snapshotted
 into every checkpoint manifest (the atomic offsets+history contract of
 ST2).  A plain class, built driver-side from the binlog's DDL rows.  When
-a commit's input is a bare ``read_parquet`` of WAL files, the DDL rows
-are planned from those files' footers (``ddl_rows_from_parquet``), even
+a commit's input is a ``read_parquet`` of WAL files, or a union of such
+reads, the DDL rows are planned from those files' footers (``ddl_rows_from_parquet``), even
 if the read prunes the ``ddl`` column: only row groups whose ``ddl``
 column is not all null are read, which plays the part of the reference's
 small schema-history file.  Any other input is scanned for them

@@ -1,5 +1,6 @@
 import os
 import sys
+import tempfile
 
 import pytest
 import ray
@@ -27,6 +28,25 @@ def ray_session():
 
 def pushed(job, call, *args, **kw):
     """``call(*args, **kw)`` — a bound method of ``job`` — with a shard
-    pool open on ``job``, so its commits take the push route."""
+    pool open on ``job``; every commit it returns must have taken the
+    push route, so a test that feeds it a non-file-read input fails
+    instead of quietly testing the sort route."""
     with job.streaming_session():
-        return call(*args, **kw)
+        out = call(*args, **kw)
+    for res in out if isinstance(out, list) else [out]:
+        assert res.metrics.get("streaming_apply"), "commit took the sort route"
+    return out
+
+
+def wal_read(tmp_path, ds):
+    """Write ``ds`` — a generated envelope Dataset — to a new parquet WAL
+    directory under ``tmp_path`` and return its read as a follower makes
+    it, ``read_parquet(columns=APPLY_COLUMNS)``: a file read, so a
+    commit of it inside a session takes the push route."""
+    import ray.data
+
+    from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
+
+    wal = tempfile.mkdtemp(prefix="wal-", dir=tmp_path)
+    ds.write_parquet(wal)
+    return ray.data.read_parquet(wal, columns=list(APPLY_COLUMNS))

@@ -7,7 +7,7 @@ import os
 
 import pandas as pd
 
-from conftest import pushed
+from conftest import pushed, wal_read
 from plugin_debezium_ray.config import CaptureConfig
 from plugin_debezium_ray.pipelines.mv import MaterializedAggregate
 from plugin_debezium_ray.pipelines.replay import ReplayJob
@@ -79,10 +79,10 @@ def test_mv_empty_lake(tmp_path):
 def test_mv_streaming_engine(tmp_path):
     """The actor-pool (streaming) apply writes the same manifest
     contract, so the MV maintains over it identically."""
-    job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path))
-    pushed(job, job.run, binlog(3000, 300, seed=13))
-    mv = MaterializedAggregate(str(tmp_path), group_col="lang",
-                               sum_col="lsn")
+    lake = str(tmp_path / "lake")
+    job = ReplayJob(CaptureConfig(num_buckets=8), lake)
+    pushed(job, job.run, wal_read(tmp_path, binlog(3000, 300, seed=13)))
+    mv = MaterializedAggregate(lake, group_col="lang", sum_col="lsn")
     assert _as_map(mv.refresh()) == _direct(job)
 
 

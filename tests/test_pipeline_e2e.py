@@ -11,7 +11,7 @@ import pytest
 
 import ray.data
 
-from conftest import pushed
+from conftest import pushed, wal_read
 from plugin_debezium_ray.config import CaptureConfig, OffsetCommitMode, SnapshotMode
 from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import (
@@ -161,9 +161,12 @@ class _SnapshotModeCases:
     PUSH = False
 
     def _apply(self, job, env, snap):
-        if self.PUSH:
-            return pushed(job, job.run, env, snapshot=snap)
-        return job.run(env, snapshot=snap)
+        if not self.PUSH:
+            return job.run(env, snapshot=snap)
+        if job.cfg.snapshot_mode is SnapshotMode.NO_DATA:  # routes nothing
+            with job.streaming_session():
+                return job.run(env, snapshot=snap)
+        return pushed(job, job.run, env, snapshot=snap)
 
     def test_never_tail_only(self, tmp_path, env, snap):
         job = ReplayJob(
@@ -205,7 +208,18 @@ class TestSnapshotModes(_SnapshotModeCases):
 
 
 class TestSnapshotModesPushRoute(_SnapshotModeCases):
+    """The same cases over parquet WAL reads, which the push route
+    takes."""
+
     PUSH = True
+
+    @pytest.fixture()
+    def env(self, tmp_path):
+        return wal_read(tmp_path, binlog(N_EVENTS, N_KEYS, seed=SEED))
+
+    @pytest.fixture()
+    def snap(self, tmp_path):
+        return wal_read(tmp_path, snapshot_envelopes(N_KEYS, seed=SEED))
 
 
 class TestSchemaEvolution:
@@ -271,7 +285,8 @@ class TestTriggerSurfaces:
     def test_max_records_soft_limit(self, tmp_path, snap):
         """maxRecords bounds the tail but NEVER the snapshot phase
         (AbstractDebeziumTask.java:617-621); a streaming session bounds
-        each of its commits the same way."""
+        each of its commits the same way, on the sort route, since a
+        limited read is no file read."""
         env = binlog(N_EVENTS, N_KEYS, seed=SEED)
         cfg = CaptureConfig(num_buckets=8, max_records=100)
         job = ReplayJob(cfg, str(tmp_path / "sort"))
@@ -279,7 +294,8 @@ class TestTriggerSurfaces:
         assert res.events_seen == N_KEYS + 100
         session = ReplayJob(cfg, str(tmp_path / "push")).streaming_session()
         with session:
-            assert session.apply_segment(env).events_seen == 100
+            res = session.apply_segment(wal_read(tmp_path, env))
+        assert res.events_seen == 100 and "streaming_apply" not in res.metrics
 
 
 class TestLineageMetrics:
@@ -313,14 +329,14 @@ class TestAllSixOps:
 
     def test_apply_parity_with_truncate_and_message(self, tmp_path):
         oracle = oracle_apply(N_EVENTS, N_KEYS, **self.KW)
+        env = wal_read(tmp_path, self._env())
+        snap = wal_read(tmp_path, snapshot_envelopes(N_KEYS, seed=SEED))
         a = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "a"))
-        res_a = a.run(self._env(), snapshot=snapshot_envelopes(N_KEYS, seed=SEED))
+        res_a = a.run(env, snapshot=snap)
         assert_parity(a, oracle)
         # streaming engine: same oracle, byte-identical lake
         b = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "b"))
-        res_b = pushed(
-            b, b.run, self._env(), snapshot=snapshot_envelopes(N_KEYS, seed=SEED)
-        )
+        res_b = pushed(b, b.run, env, snapshot=snap)
         assert_parity(b, oracle)
         assert data_file_hashes(str(tmp_path / "a")) == data_file_hashes(
             str(tmp_path / "b")

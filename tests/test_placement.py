@@ -23,6 +23,7 @@ import json
 import sys
 
 import ray
+import ray.data
 from ray.cluster_utils import Cluster
 
 cluster = Cluster(initialize_head=True, head_node_args={"num_cpus": 2})
@@ -34,10 +35,13 @@ ray.init(address=cluster.address, include_dashboard=False,
 from plugin_debezium_ray.config import CaptureConfig
 from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import binlog, oracle_apply
+from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
+# a parquet WAL read: the input the push route takes
+binlog(3000, 250, seed=7).write_parquet(sys.argv[2])
 job = ReplayJob(CaptureConfig(num_buckets=12), sys.argv[1])
 with job.streaming_session(num_shards=6):
-    res = job.run(binlog(3000, 250, seed=7))
+    res = job.run(ray.data.read_parquet(sys.argv[2], columns=list(APPLY_COLUMNS)))
 state = {
     (r.repo, r.path): hashlib.sha256(r.content.encode()).hexdigest()
     for r in job.read_table().to_pandas().itertuples()
@@ -51,6 +55,7 @@ print(json.dumps({
     "cluster_nodes": len([n for n in ray.nodes() if n["Alive"]]),
     "shard_nodes": res.metrics.get("shard_nodes"),
     "num_shards": res.metrics.get("num_shards"),
+    "streaming_apply": res.metrics.get("streaming_apply"),
     "parity": state == want,
     "rows": len(state),
 }))
@@ -65,13 +70,14 @@ def test_spread_places_shards_across_nodes(tmp_path):
     env.pop("RAY_ADDRESS", None)  # the subprocess builds its own cluster
     env["PYTHONPATH"] = REPO
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path / "lake")],
+        [sys.executable, "-c", SCRIPT, str(tmp_path / "lake"),
+         str(tmp_path / "wal")],
         capture_output=True, text=True, timeout=280, env=env, cwd=REPO,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     verdict = json.loads(out.stdout.strip().splitlines()[-1])
     assert verdict["cluster_nodes"] == 3
-    assert verdict["num_shards"] == 6
+    assert verdict["num_shards"] == 6 and verdict["streaming_apply"] is True
     # SPREAD: the pool is not colocated on one node
     assert verdict["shard_nodes"] >= 2
     assert verdict["parity"] is True and verdict["rows"] > 0

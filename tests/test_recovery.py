@@ -13,7 +13,7 @@ import shutil
 
 import pytest
 
-from conftest import pushed
+from conftest import pushed, wal_read
 from plugin_debezium_ray.config import CaptureConfig
 from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import binlog, oracle_apply
@@ -110,9 +110,9 @@ def test_streaming_crash_between_data_write_and_commit(tmp_path):
     """Same crash contract on the STREAMING apply: orphaned v2 bucket
     files are invisible (manifest-gated), and a streaming rerun of the
     same tail converges to byte-identical v2 files."""
-    lake = str(tmp_path)
-    base = binlog(1200, 100, seed=41)
-    tail = binlog(600, 100, seed=42, base_lsn=50_000)
+    lake = str(tmp_path / "lake")
+    base = wal_read(tmp_path, binlog(1200, 100, seed=41))
+    tail = wal_read(tmp_path, binlog(600, 100, seed=42, base_lsn=50_000))
     job = ReplayJob(CaptureConfig(num_buckets=8), lake)
     pushed(job, job.run, base)
     v1_rows = job.read_table().count()
@@ -232,9 +232,11 @@ def test_string_widths_mix_on_one_lake(tmp_path, first):
 def _commit_on(route, lake, ds):
     job = ReplayJob(CaptureConfig(num_buckets=8), lake)
     if route == "sort":
-        return job.run(ds, ddl_source=False)
+        return job.run(ds)
     with job.streaming_session(num_shards=2) as session:
-        return session.apply_segment(ds)
+        res = session.apply_segment(ds)
+    assert res.metrics["streaming_apply"]
+    return res
 
 
 @pytest.mark.parametrize("route", ["sort", "push"])
@@ -247,8 +249,10 @@ def test_crash_at_every_commit_write(tmp_path, route):
     yields the oracle."""
     lake, saved = str(tmp_path / "lake"), str(tmp_path / "saved")
     meta = os.path.join(lake, "_meta")
-    _commit_on(route, lake, _segment(0, 150))
-    _commit_on(route, lake, _segment(150, 300))
+    head, tail = (wal_read(tmp_path, _segment(lo, hi))
+                  for lo, hi in ((0, 150), (150, 300)))
+    _commit_on(route, lake, head)
+    _commit_on(route, lake, tail)
     shutil.copytree(lake, saved)
     ckpt = ReplayJob(CaptureConfig(), lake).ckpt
     v1, v2 = ckpt.restore_version(1), ckpt.restore_version(2)
@@ -280,7 +284,7 @@ def test_crash_at_every_commit_write(tmp_path, route):
 
         want = v2 if state == "linked" else v1
         assert ckpt.restore() == want, point
-        res = _commit_on(route, lake, _segment(150, 300))
+        res = _commit_on(route, lake, tail)
         assert res.version == want["version"] + 1, point
         assert res.events_seen == (0 if want is v2 else 600), point
         assert _state(lake) == _oracle(300), point

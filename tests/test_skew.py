@@ -12,7 +12,7 @@ Two mechanisms under test:
 import numpy as np
 import pyarrow as pa
 
-from conftest import pushed
+from conftest import pushed, wal_read
 from plugin_debezium_ray.config import CaptureConfig
 from plugin_debezium_ray.functions.hashing import bucket_of
 from plugin_debezium_ray.pipelines.replay import ReplayJob
@@ -71,7 +71,7 @@ def test_skewed_replay_parity(tmp_path):
         )
 
 
-def test_streaming_apply_under_key_skew():
+def test_streaming_apply_under_key_skew(tmp_path):
     """The barrier-free actor-pool apply handles a Zipf-hot key stream:
     the per-batch pre-reduce bounds what any shard receives, and the
     final state matches the single-threaded oracle exactly."""
@@ -82,7 +82,8 @@ def test_streaming_apply_under_key_skew():
     d = tempfile.mkdtemp(prefix="skewstream_", dir="/tmp")
     try:
         job = ReplayJob(CaptureConfig(num_buckets=8), d)
-        pushed(job, job.run, binlog(6000, 300, seed=31, key_skew=True))
+        pushed(job, job.run,
+               wal_read(tmp_path, binlog(6000, 300, seed=31, key_skew=True)))
         oracle = oracle_apply(6000, 300, seed=31, key_skew=True,
                               include_snapshot=False)
         got = {
@@ -98,7 +99,7 @@ def test_streaming_apply_under_key_skew():
         shutil.rmtree(d, ignore_errors=True)
 
 
-def test_hot_key_wal_parity():
+def test_hot_key_wal_parity(tmp_path):
     """The bench --skew soak's WAL shape — ONE key receiving 50% of all
     events — applies to exactly the oracle state through the streaming
     engine (the pathological path is correctness-neutral, not just
@@ -119,7 +120,8 @@ def test_hot_key_wal_parity():
     d = tempfile.mkdtemp(prefix="hotkey_", dir="/tmp")
     try:
         job = ReplayJob(CaptureConfig(num_buckets=8), d)
-        pushed(job, job.run, binlog(4000, 300, seed=21, hot_key_frac=0.5))
+        pushed(job, job.run,
+               wal_read(tmp_path, binlog(4000, 300, seed=21, hot_key_frac=0.5)))
         oracle = oracle_apply(4000, 300, seed=21, hot_key_frac=0.5,
                               include_snapshot=False)
         got = {

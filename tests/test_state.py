@@ -15,7 +15,7 @@ import ray.data
 
 from plugin_debezium_ray.__main__ import cmd_lineage
 from plugin_debezium_ray.config import CaptureConfig
-from plugin_debezium_ray.pipelines.replay import ReplayJob, _bare_read
+from plugin_debezium_ray.pipelines.replay import ReplayJob, _file_reads
 from plugin_debezium_ray.sources.binlog import binlog, ddl_events_table
 from plugin_debezium_ray.state.checkpoint import (
     CheckpointManager,
@@ -359,7 +359,7 @@ class TestDdlPlanner:
     @staticmethod
     def _plan(paths, max_lsn=None) -> pa.Table:
         """The DDL rows a commit of ``read_parquet(paths)`` plans."""
-        read = _bare_read(ray.data.read_parquet(paths))
+        [read] = _file_reads(ray.data.read_parquet(paths))
         return ddl_rows_from_parquet(*read.parquet, max_lsn=max_lsn)
 
     def _registry(self, paths, scan_paths=None, max_lsn=None):

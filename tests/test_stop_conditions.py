@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import pushed
+from conftest import pushed, wal_read
 from plugin_debezium_ray.config import (
     REFERENCE_DEFAULT_MAX_SNAPSHOT_DURATION_SECONDS,
     REFERENCE_DEFAULT_MAX_WAIT_SECONDS,
@@ -190,7 +190,7 @@ class TestIdleBounded:
 
 class TestMaxDurationSegments:
     def test_segment_budget_stops_early(self, tmp_path):
-        segs = [binlog(300, 60, seed=SEED, base_lsn=1 + 300 * i)
+        segs = [wal_read(tmp_path, binlog(300, 60, seed=SEED, base_lsn=1 + 300 * i))
                 for i in range(3)]
         from plugin_debezium_ray.config import OffsetCommitMode
 

@@ -10,7 +10,7 @@ import pytest
 
 import ray.data
 
-from conftest import pushed
+from conftest import pushed, wal_read
 from test_recovery import _oracle, _segment
 from test_recovery import _state as _lake_state
 from plugin_debezium_ray.config import CaptureConfig, OffsetCommitMode
@@ -41,17 +41,12 @@ def _bucket_hashes(job):
 
 class TestStreamingApply:
     def test_byte_parity_with_sort_path(self, tmp_path):
+        env = wal_read(tmp_path, binlog(N_EVENTS, N_KEYS, seed=SEED))
+        snap = wal_read(tmp_path, snapshot_envelopes(N_KEYS, seed=SEED))
         a = ReplayJob(CaptureConfig(num_buckets=16), str(tmp_path / "a"))
-        a.run(
-            binlog(N_EVENTS, N_KEYS, seed=SEED),
-            snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
-            ddl_source=False,
-        )
+        a.run(env, snapshot=snap)
         b = ReplayJob(CaptureConfig(num_buckets=16), str(tmp_path / "b"))
-        res = pushed(
-            b, b.run, binlog(N_EVENTS, N_KEYS, seed=SEED),
-            snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
-        )
+        res = pushed(b, b.run, env, snapshot=snap)
         assert res.events_seen == N_EVENTS + N_KEYS
         assert _state(a) == _state(b)
         # identical deterministic bucket FILES, not just values — the two
@@ -60,23 +55,23 @@ class TestStreamingApply:
         assert set(_state(b)) == set(oracle_apply(N_EVENTS, N_KEYS, seed=SEED))
 
     def test_rerun_applies_zero(self, tmp_path):
-        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path))
-        pushed(
-            job, job.run, binlog(N_EVENTS, N_KEYS, seed=SEED),
-            snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
-        )
+        env = wal_read(tmp_path, binlog(N_EVENTS, N_KEYS, seed=SEED))
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        pushed(job, job.run, env,
+               snapshot=wal_read(tmp_path, snapshot_envelopes(N_KEYS, seed=SEED)))
         h1 = _bucket_hashes(job)
-        res2 = pushed(job, job.run, binlog(N_EVENTS, N_KEYS, seed=SEED))
+        res2 = pushed(job, job.run, env)
         assert res2.events_seen == 0
         assert _bucket_hashes(job) == h1
 
     def test_incremental_tail_resume(self, tmp_path):
-        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path))
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
         pushed(
-            job, job.run, binlog(2000, N_KEYS, seed=SEED),
-            snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
+            job, job.run, wal_read(tmp_path, binlog(2000, N_KEYS, seed=SEED)),
+            snapshot=wal_read(tmp_path, snapshot_envelopes(N_KEYS, seed=SEED)),
         )
-        res = pushed(job, job.run, binlog(1500, N_KEYS, seed=SEED, base_lsn=2001))
+        res = pushed(job, job.run, wal_read(
+            tmp_path, binlog(1500, N_KEYS, seed=SEED, base_lsn=2001)))
         assert res.events_seen == 1500 and res.version == 2
         # mirror with the sort path from scratch over the full stream
         ref = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "ref"))
@@ -91,14 +86,12 @@ class TestStreamingApply:
         """Shards may receive events in ANY order within one run: a
         union with segments reversed produces the same final state
         (LWW winner = max (lsn, seq), commutative)."""
-        s1 = binlog(1500, 200, seed=SEED)
-        s2 = binlog(1500, 200, seed=SEED, base_lsn=1501)
+        s1 = wal_read(tmp_path, binlog(1500, 200, seed=SEED))
+        s2 = wal_read(tmp_path, binlog(1500, 200, seed=SEED, base_lsn=1501))
         a = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "a"))
         pushed(a, a.run, s1.union(s2))
         b = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "b"))
-        pushed(b, b.run, binlog(1500, 200, seed=SEED, base_lsn=1501).union(
-            binlog(1500, 200, seed=SEED)
-        ))
+        pushed(b, b.run, s2.union(s1))
         assert _state(a) == _state(b)
 
     def test_retried_push_is_deduped(self):
@@ -163,9 +156,10 @@ class TestStreamingApply:
                 ]
             )
         )
-        env = binlog(N_EVENTS, N_KEYS, seed=SEED).union(ddl)
-        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path))
-        pushed(job, job.run, env, snapshot=snapshot_envelopes(N_KEYS, seed=SEED))
+        env = wal_read(tmp_path, binlog(N_EVENTS, N_KEYS, seed=SEED).union(ddl))
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        pushed(job, job.run, env,
+               snapshot=wal_read(tmp_path, snapshot_envelopes(N_KEYS, seed=SEED)))
         tab = job.read_table().to_pandas()
         assert "language" in tab.columns and "lang" not in tab.columns
         assert set(tab["license"]) == {"unknown"}
@@ -177,11 +171,12 @@ class TestStreamingApply:
         from plugin_debezium_ray.pipelines import streaming_apply as sa
 
         monkeypatch.setattr(sa, "COMPACT_ROWS", 100)
+        env = wal_read(tmp_path, binlog(3000, 50, seed=3))
         job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "d"))
         # hot keys: every ingest triggers a compact
-        res = pushed(job, job.run, binlog(3000, 50, seed=3))
+        res = pushed(job, job.run, env)
         ref = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "e"))
-        ref_res = ref.run(binlog(3000, 50, seed=3), ddl_source=False)
+        ref_res = ref.run(env)
         assert _state(job) == _state(ref)
         assert res.events_seen == ref_res.events_seen == 3000
 
@@ -200,40 +195,38 @@ class TestStreamingSoak:
             for i in range(n)
         ]
 
-    def _parquet_segments(self, tmp_path):
-        """The same segments written to parquet, read back as the
-        follower reads them: ``read_parquet(columns=APPLY_COLUMNS)``."""
-        from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
-
-        dirs = [str(tmp_path / f"seg{i}") for i in range(3)]
-        for seg, d in zip(self._segments(), dirs):
-            seg.write_parquet(d)
-        return lambda: [
-            ray.data.read_parquet(d, columns=list(APPLY_COLUMNS)) for d in dirs
-        ]
+    def _wal_segments(self, tmp_path):
+        """The segments as parquet WAL reads (``wal_read``)."""
+        return [wal_read(tmp_path, seg) for seg in self._segments()]
 
     def test_three_commits_one_pool_parity_and_rerun_zero(
         self, tmp_path, monkeypatch
     ):
-        self._three_commits(tmp_path, monkeypatch, self._segments, "blocks")
+        segs = self._wal_segments(tmp_path)
+        self._three_commits(tmp_path, monkeypatch,
+                            lambda job: job.run_segments(segs))
 
     def test_three_commits_on_parquet_inputs(self, tmp_path, monkeypatch):
+        """The segments committed by path, as the follower commits them
+        (``run_from_paths``: ``read_parquet(columns=APPLY_COLUMNS)``)."""
+        dirs = [str(tmp_path / f"seg{i}") for i in range(3)]
+        for seg, d in zip(self._segments(), dirs):
+            seg.write_parquet(d)
         self._three_commits(tmp_path, monkeypatch,
-                            self._parquet_segments(tmp_path), "read")
+                            lambda job: [job.run_from_paths(d) for d in dirs])
 
-    def _three_commits(self, tmp_path, monkeypatch, segments, source):
+    def _three_commits(self, tmp_path, monkeypatch, commit_all):
         from plugin_debezium_ray.pipelines import streaming_apply as sa
 
         monkeypatch.setattr(sa, "COMPACT_ROWS", 500)  # real compactions
         job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "soak"))
-        results = pushed(job, job.run_segments, segments())
+        results = pushed(job, commit_all, job)
         assert [r.version for r in results] == [1, 2, 3]
         assert all(r.events_seen == 1200 for r in results)
         assert all(
             r.metrics.get("streaming_session_commit") == i + 1
             for i, r in enumerate(results)
         )
-        assert {r.metrics["decode_source"] for r in results} == {source}
 
         # parity: one-shot sort path over the union of all segments
         ref = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "ref"))
@@ -245,7 +238,7 @@ class TestStreamingSoak:
 
         # rerun-zero across the SAME multi-commit surface: every segment
         # is at-or-below the ledger now
-        rerun = pushed(job, job.run_segments, segments())
+        rerun = pushed(job, commit_all, job)
         assert [r.events_seen for r in rerun] == [0, 0, 0]
         assert _state(job) == _state(ref)
 
@@ -266,10 +259,11 @@ class TestStreamingSoak:
             )
         )
         segs = [
-            binlog(1200, 150, seed=SEED),
-            binlog(1200, 150, seed=SEED, base_lsn=10_001).union(ddl),
+            wal_read(tmp_path, binlog(1200, 150, seed=SEED)),
+            wal_read(tmp_path,
+                     binlog(1200, 150, seed=SEED, base_lsn=10_001).union(ddl)),
         ]
-        job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path))
+        job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "lake"))
         results = pushed(job, job.run_segments, segs)
         assert [r.version for r in results] == [1, 2]
         tab = job.read_table().to_pandas()
@@ -287,10 +281,11 @@ class TestStreamingSoak:
     def test_session_state_matches_separate_runs(self, tmp_path):
         """State after N commits through one pool == N commits through
         N one-shot pools (byte-identical bucket files)."""
+        segs = self._wal_segments(tmp_path)
         a = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "a"))
-        pushed(a, a.run_segments, self._segments())
+        pushed(a, a.run_segments, segs)
         b = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "b"))
-        for seg in self._segments():
+        for seg in segs:
             pushed(b, b.run, seg)
         assert _state(a) == _state(b)
         assert _bucket_hashes(a) == _bucket_hashes(b)
@@ -298,12 +293,13 @@ class TestStreamingSoak:
     def test_on_stop_commits_the_union_once(self, tmp_path):
         """Under ON_STOP the session commits once over the union, like
         ``run_segments``; the state equals the per-segment cadence's."""
+        segs = self._wal_segments(tmp_path)
         a = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "a"))
-        results = pushed(a, a.run_segments, self._segments())
+        results = pushed(a, a.run_segments, segs)
         assert [r.version for r in results] == [1]
         assert results[0].events_seen == 3 * 1200
         b = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "b"))
-        pushed(b, b.run_segments, self._segments())
+        pushed(b, b.run_segments, segs)
         assert _state(a) == _state(b)
 
 
@@ -330,15 +326,15 @@ class TestShardLoss:
             ray.kill(shards[0])  # one shard dies before the stream starts
             return shards, shard_of
 
+        env = wal_read(tmp_path, binlog(N_EVENTS, N_KEYS, seed=SEED))
+        snap = wal_read(tmp_path, snapshot_envelopes(N_KEYS, seed=SEED))
         monkeypatch.setattr(sa, "_make_shard_pool", sabotaged)
         with pytest.raises(Exception):
-            pushed(job, job.run, binlog(N_EVENTS, N_KEYS, seed=SEED),
-                   snapshot=snapshot_envelopes(N_KEYS, seed=SEED))
+            pushed(job, job.run, env, snapshot=snap)
         monkeypatch.setattr(sa, "_make_shard_pool", real_make)
         # atomicity: the failed run committed nothing
         assert job.ckpt.restore() is None
-        res = pushed(job, job.run, binlog(N_EVENTS, N_KEYS, seed=SEED),
-                     snapshot=snapshot_envelopes(N_KEYS, seed=SEED))
+        res = pushed(job, job.run, env, snapshot=snap)
         assert res.events_seen == N_EVENTS + N_KEYS
         assert set(_state(job)) == set(
             oracle_apply(N_EVENTS, N_KEYS, seed=SEED)
@@ -353,8 +349,8 @@ class TestSessionShardLoss:
         the failed segment converges to parity."""
         lake = str(tmp_path / "lake")
         job = ReplayJob(CaptureConfig(num_buckets=8), lake)
-        seg1 = binlog(1500, 150, seed=SEED, base_lsn=1)
-        seg2 = binlog(1500, 150, seed=SEED, base_lsn=1501)
+        seg1 = wal_read(tmp_path, binlog(1500, 150, seed=SEED, base_lsn=1))
+        seg2 = wal_read(tmp_path, binlog(1500, 150, seed=SEED, base_lsn=1501))
 
         session = job.streaming_session(num_shards=2)
         try:
@@ -373,6 +369,7 @@ class TestSessionShardLoss:
         # recovery: a fresh session replays the failed segment
         with job.streaming_session(num_shards=2) as s2:
             r2 = s2.apply_segment(seg2)
+        assert r1.metrics["streaming_apply"] and r2.metrics["streaming_apply"]
         assert r2.version == 2 and r2.events_seen == 1500
         ref = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "ref"))
         ref.run(binlog(1500, 150, seed=SEED, base_lsn=1).union(
@@ -385,7 +382,7 @@ class TestSessionShardLoss:
         dead, it still commits, applying zero events and writing no
         bucket file."""
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
-        seg = binlog(1500, 150, seed=SEED, base_lsn=1)
+        seg = wal_read(tmp_path, binlog(1500, 150, seed=SEED, base_lsn=1))
         with job.streaming_session(num_shards=2) as session:
             r1 = session.apply_segment(seg)
             v1_buckets = _bucket_hashes(job)
@@ -393,6 +390,7 @@ class TestSessionShardLoss:
                 ray.kill(s)
             r2 = session.apply_segment(seg)
         assert r1.events_applied > 0 and "shard_nodes" in r1.metrics
+        assert r2.metrics["streaming_apply"]
         assert r2.version == 2 and r2.events_applied == 0
         assert r2.metrics["finalize_seconds"] == 0
         assert "shard_nodes" not in r2.metrics
@@ -424,8 +422,9 @@ class TestOneApplySurface:
                       "to": "language"}),
         ]))
         segs = [
-            binlog(1200, 150, seed=SEED),
-            binlog(1200, 150, seed=SEED, base_lsn=10_001).union(ddl),
+            wal_read(tmp_path, binlog(1200, 150, seed=SEED)),
+            wal_read(tmp_path,
+                     binlog(1200, 150, seed=SEED, base_lsn=10_001).union(ddl)),
         ]
         cfg = CaptureConfig(num_buckets=8,
                             offset_commit_mode=OffsetCommitMode.ON_EACH_BATCH)
@@ -433,8 +432,8 @@ class TestOneApplySurface:
         sort.run_segments(segs)
         push = ReplayJob(cfg, str(tmp_path / "push"))
         with push.streaming_session() as session:
-            for seg in segs:
-                session.apply_segment(seg)
+            pushes = [session.apply_segment(seg) for seg in segs]
+        assert all(r.metrics["streaming_apply"] for r in pushes)
         cols = sorted(push.read_table().to_pandas().columns)
         assert cols == sorted(sort.read_table().to_pandas().columns)
         assert "language" in cols and "license" in cols and "lang" not in cols
@@ -502,6 +501,52 @@ class TestOneApplySurface:
         assert job.ckpt.restore()["schema"]["log"] == [self.RENAME]
         assert results[1].metrics["registry_rows_read"] == 301
 
+    @pytest.mark.parametrize("route", ["sort", "session"])
+    def test_on_stop_segments_apply_their_own_ddl(self, tmp_path, route):
+        """ON_STOP commits its segments' union once; a union of pruned
+        reads takes the DDL of every read's files from their footers,
+        so the rename in segment 2 reaches the lake and the schema log
+        on both routes."""
+        from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
+
+        reads = [ray.data.read_parquet(p, columns=list(APPLY_COLUMNS))
+                 for p in self._ddl_wal(tmp_path)]
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        if route == "sort":
+            results = job.run_segments(reads)
+        else:
+            results = pushed(job, job.run_segments, reads)
+        assert [r.events_seen for r in results] == [900]
+        tab = job.read_table().to_pandas()
+        assert "language" in tab.columns and "lang" not in tab.columns
+        assert tab["language"].notna().all()
+        assert job.ckpt.restore()["schema"]["log"] == [self.RENAME]
+        assert results[0].metrics["registry_rows_read"] == 301
+
+    @pytest.mark.parametrize("route", ["sort", "session"])
+    def test_first_commit_of_a_union_runs_no_plan_for_its_schema(
+        self, tmp_path, route, monkeypatch
+    ):
+        """The first commit takes its base schema from the first read's
+        plan: a union of reads has no schema of its own, and asking the
+        Dataset for one runs a ``limit(1)`` job over its plan."""
+        paths = self._ddl_wal(tmp_path)
+        ds = ray.data.read_parquet(paths[0]).union(ray.data.read_parquet(paths[1]))
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        known = ray.data.Dataset.schema
+
+        def schema(self, fetch_if_missing=True):
+            # Ray Data itself asks for schemas its plans already know
+            sch = known(self, fetch_if_missing=False)
+            assert sch is not None or not fetch_if_missing, "schema() ran a plan"
+            return sch
+
+        with monkeypatch.context() as m:
+            m.setattr(ray.data.Dataset, "schema", schema)
+            res = job.run(ds) if route == "sort" else pushed(job, job.run, ds)
+        assert (res.version, res.events_seen) == (1, 900)
+        assert job.ckpt.restore()["schema"]["log"] == [self.RENAME]
+
     def test_filtered_read_keeps_the_scan_rule(self, tmp_path):
         """A row ``filter=`` chooses which events the commit sees, so a
         filtered read is scanned like any other plan: the filter that
@@ -531,7 +576,7 @@ class TestOneApplySurface:
         from plugin_debezium_ray.sources.binlog import write_binlog_segments
 
         def seg(base_lsn):
-            return binlog(200, 60, seed=SEED, base_lsn=base_lsn)
+            return wal_read(tmp_path, binlog(200, 60, seed=SEED, base_lsn=base_lsn))
 
         def wal(base_lsn):
             out = write_binlog_segments(
@@ -567,11 +612,12 @@ class TestOneApplySurface:
 
 
 class TestDecodeUnits:
-    """The push route's decode tasks: a bare file read runs the read's
-    own tasks, one per file; any other plan runs through Ray Data and
-    its blocks are the units.  Every push manifest says which, and
-    ``lineage`` reads it back.  A Ray upgrade that moves the logical
-    plan fails here instead of slowing the follower down."""
+    """The push route's decode tasks: a file read — one read or a union
+    of reads — runs the reads' own tasks, one per file; any other plan
+    commits on the sort route.  Every push manifest records its
+    ``decode_tasks``, and ``lineage`` reads it back.  A Ray upgrade that
+    moves the logical plan fails here instead of sending the follower's
+    commits to the sort route."""
 
     def _wal(self, tmp_path, n_events, n_files):
         import glob
@@ -612,24 +658,28 @@ class TestDecodeUnits:
 
         from plugin_debezium_ray.__main__ import cmd_lineage
 
-        paths = self._wal(tmp_path, 900, 3)
+        paths = self._wal(tmp_path, 1800, 6)
         lake = str(tmp_path / "lake")
         job = ReplayJob(CaptureConfig(num_buckets=8), lake)
         with job.streaming_session(num_shards=2):
-            read = job.run(self._read(paths))
+            reads = [
+                job.run(self._read(paths[:3])),
+                job.run(self._read(paths[3:4]).union(self._read(paths[4:]))),
+            ]
             lineage = cmd_lineage(argparse.Namespace(lake=lake))["metrics"]
             others = [
                 job.run(binlog(300, 120, seed=SEED, base_lsn=10_001)),
                 job.run(self._read(paths).limit(500)),
-                job.run(self._read(paths[:1]).union(self._read(paths[1:]))),
                 job.run(self._read(paths).materialize()),
             ]
-        assert read.events_seen == 900
-        assert (read.metrics["decode_source"], read.metrics["decode_tasks"]) \
-            == ("read", 3)
-        assert (lineage["decode_source"], lineage["decode_tasks"]) == ("read", 3)
-        assert [r.metrics["decode_source"] for r in others] == ["blocks"] * 4
-        assert all(r.metrics["decode_tasks"] >= 1 for r in others)
+        assert [r.events_seen for r in reads] == [900, 900]
+        assert [(r.metrics["streaming_apply"], r.metrics["decode_tasks"])
+                for r in reads] == [(True, 3), (True, 3)]
+        assert (lineage["streaming_apply"], lineage["decode_tasks"]) == (True, 3)
+        for r in others:
+            assert "apply_wall_seconds" in r.metrics
+            assert "streaming_apply" not in r.metrics
+            assert "decode_tasks" not in r.metrics
 
     def test_failed_read_task_fails_the_commit_only(self, tmp_path):
         """One read task of a session commit raises (a WAL file without
@@ -672,20 +722,21 @@ class TestDecodeUnits:
         them as the sort route does and writes the same bucket files."""
         f = self._wal(tmp_path, 300, 1)[0]
         inputs = {
-            "read": lambda: self._read([f, f]),
-            "blocks": lambda: self._read([f]).union(self._read([f])),
+            "list": lambda: self._read([f, f]),
+            "union": lambda: self._read([f]).union(self._read([f])),
         }
-        for source, ds in inputs.items():
+        for form, ds in inputs.items():
             sort = ReplayJob(CaptureConfig(num_buckets=8),
-                             str(tmp_path / f"sort-{source}"))
+                             str(tmp_path / f"sort-{form}"))
             want = sort.run(ds())
             push = ReplayJob(CaptureConfig(num_buckets=8),
-                             str(tmp_path / f"push-{source}"))
+                             str(tmp_path / f"push-{form}"))
             with push.streaming_session(num_shards=2):
                 got = push.run(ds())
-            assert got.metrics["decode_source"] == source
-            assert got.events_seen == want.events_seen == 600, source
-            assert _bucket_hashes(push) == _bucket_hashes(sort), source
+            assert got.metrics["streaming_apply"], form
+            assert got.metrics["decode_tasks"] == 2, form
+            assert got.events_seen == want.events_seen == 600, form
+            assert _bucket_hashes(push) == _bucket_hashes(sort), form
 
     def test_push_ids_count_rows_across_the_blocks_of_a_unit(self):
         """A read task may yield several blocks: each batch is named by
@@ -922,9 +973,8 @@ class TestRouteParityAcrossEpochs:
         ]
 
     def test_routes_agree_after_every_commit(self, tmp_path):
-        self._routes_agree(
-            tmp_path, lambda job: job.run_segments(self._segments()), "blocks"
-        )
+        segs = [wal_read(tmp_path, seg) for seg in self._segments()]
+        self._routes_agree(tmp_path, lambda job: job.run_segments(segs))
 
     def test_routes_agree_on_parquet_inputs(self, tmp_path):
         """The segments written to parquet and committed by path
@@ -935,17 +985,16 @@ class TestRouteParityAcrossEpochs:
         for seg, d in zip(self._segments(), dirs):
             seg.write_parquet(d)
         self._routes_agree(
-            tmp_path, lambda job: [job.run_from_paths(d) for d in dirs], "read"
+            tmp_path, lambda job: [job.run_from_paths(d) for d in dirs]
         )
 
-    def _routes_agree(self, tmp_path, commit_all, source):
+    def _routes_agree(self, tmp_path, commit_all):
         cfg = CaptureConfig(num_buckets=16,
                             offset_commit_mode=OffsetCommitMode.ON_EACH_BATCH)
         sort = ReplayJob(cfg, str(tmp_path / "sort"))
         assert len(commit_all(sort)) == 3
         push = ReplayJob(cfg, str(tmp_path / "push"))
-        results = pushed(push, commit_all, push)
-        assert [r.metrics["decode_source"] for r in results] == [source] * 3
+        assert len(pushed(push, commit_all, push)) == 3
 
         def commit(job, v):
             m = job.ckpt.restore_version(v)
@@ -978,15 +1027,16 @@ def test_wide_shard_pool_leaves_cpu_for_decode(tmp_path):
     leave a slot for the decode tasks instead of starving them forever."""
     from concurrent.futures import ThreadPoolExecutor, wait
 
-    job = ReplayJob(CaptureConfig(num_buckets=16), str(tmp_path))
+    seg = wal_read(tmp_path, binlog(300, 40, seed=SEED))
+    job = ReplayJob(CaptureConfig(num_buckets=16), str(tmp_path / "lake"))
     with ThreadPoolExecutor(1) as ex:
         with job.streaming_session(num_shards=8) as session:
-            fut = ex.submit(session.apply_segment, binlog(300, 40, seed=SEED))
+            fut = ex.submit(session.apply_segment, seg)
             done, _ = wait([fut], timeout=120)
         # closing the session kills the shards, which frees a starved stream
     assert done, "the commit made no progress: the shard pool holds every CPU"
     res = fut.result()
-    assert res.events_seen == 300
+    assert res.metrics["streaming_apply"] and res.events_seen == 300
     assert set(_state(job)) == set(oracle_apply(300, 40, seed=SEED))
 
 
@@ -998,8 +1048,9 @@ class TestHeldBucketTables:
     CFG = dict(num_buckets=8, offset_commit_mode=OffsetCommitMode.ON_EACH_BATCH)
     CUTS = (0, 75, 150, 225, 300)
 
-    def _segments(self):
-        return [_segment(lo, hi) for lo, hi in zip(self.CUTS, self.CUTS[1:])]
+    def _segments(self, tmp_path):
+        return [wal_read(tmp_path, _segment(lo, hi))
+                for lo, hi in zip(self.CUTS, self.CUTS[1:])]
 
     def _sort_lake(self, tmp_path, segs):
         ref = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "ref"))
@@ -1011,7 +1062,7 @@ class TestHeldBucketTables:
 
         from plugin_debezium_ray.__main__ import cmd_lineage
 
-        segs = self._segments()
+        segs = self._segments(tmp_path)
         lake = str(tmp_path / "lake")
         job = ReplayJob(CaptureConfig(**self.CFG), lake)
         results = job.run_segments(segs[:2])  # sort route: v1, v2
@@ -1033,7 +1084,7 @@ class TestHeldBucketTables:
         """Another writer commits between two session commits: the
         session's next commit reads that writer's files, not the tables
         it holds from its own last commit."""
-        segs = self._segments()
+        segs = self._segments(tmp_path)
         lake = str(tmp_path / "lake")
         job = ReplayJob(CaptureConfig(**self.CFG), lake)
         with job.streaming_session():
@@ -1041,9 +1092,38 @@ class TestHeldBucketTables:
             other = ReplayJob(CaptureConfig(**self.CFG), lake).run(segs[2])
             assert other.version == 3 and other.metrics["prior_files_read"] == 8
             res = job.run(segs[3])
+        assert res.metrics["streaming_apply"]
         assert res.version == 4 and res.metrics["prior_files_read"] == 8
         assert _lake_state(job.table_dir) == _oracle(self.CUTS[-1])
         assert _bucket_hashes(job) == _bucket_hashes(self._sort_lake(tmp_path, segs))
+
+    def test_generated_input_commits_on_the_sort_route_mid_session(
+        self, tmp_path
+    ):
+        """A file read, a ``binlog()`` segment, a file read, in one
+        session: the generated segment commits on the sort route, every
+        commit writes the sort-only job's bucket files, and the third
+        commit reads back exactly the buckets the second rewrote — held
+        tables are trusted only while the manifest pins their path."""
+        segs = [wal_read(tmp_path, _segment(0, 75)), _segment(75, 76),
+                wal_read(tmp_path, _segment(76, 300))]
+        ref = self._sort_lake(tmp_path, segs)
+        job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "lake"))
+        with job.streaming_session():
+            results = job.run_segments(segs)
+        assert [r.metrics.get("streaming_apply") for r in results] \
+            == [True, None, True]
+        assert "apply_wall_seconds" in results[1].metrics
+        rewritten = results[1].metrics["buckets_touched"]
+        assert 0 < rewritten < 8
+        assert [r.metrics["buckets_touched"] for r in results[::2]] == [8, 8]
+        assert results[2].metrics["prior_files_read"] == rewritten
+        for v in (1, 2, 3):
+            files = [{b: _file_sha(e["path"])
+                      for b, e in j.ckpt.restore_version(v)["buckets"].items()}
+                     for j in (job, ref)]
+            assert files[0] == files[1], v
+        assert _lake_state(job.table_dir) == _oracle(300)
 
     def test_lost_commit_conflict_reads_the_winners_files(self, tmp_path):
         """A session commit loses ``CommitConflict`` after its shards
@@ -1051,30 +1131,34 @@ class TestHeldBucketTables:
         over the winner's files."""
         from plugin_debezium_ray.state.checkpoint import CommitConflict
 
+        s0, s150, won_seg, s250 = (
+            wal_read(tmp_path, _segment(lo, hi))
+            for lo, hi in ((0, 150), (150, 200), (150, 250), (250, 300))
+        )
         lake = str(tmp_path / "lake")
         job = ReplayJob(CaptureConfig(**self.CFG), lake)
         with job.streaming_session():
-            assert job.run(_segment(0, 150)).version == 1
-            prep = job._prepare(_segment(150, 200), None, False)
+            assert job.run(s0).version == 1
+            prep = job._prepare(s150, None, False)
             # the winner applies more of the log than the loser's attempt
-            won = ReplayJob(CaptureConfig(**self.CFG), lake).run(_segment(150, 250))
+            won = ReplayJob(CaptureConfig(**self.CFG), lake).run(won_seg)
             assert won.version == prep.version == 2
             rows, metrics = job._route(prep)
             assert metrics["streaming_apply"] and len(rows) == 8
             with pytest.raises(CommitConflict):
                 job._commit(prep, rows, metrics, 0.0)
-            res = job.run(_segment(250, 300))
+            res = job.run(s250)
+        assert res.metrics["streaming_apply"]
         assert res.version == 3 and res.metrics["prior_files_read"] == 8
         assert _lake_state(job.table_dir) == _oracle(300)
-        ref = self._sort_lake(tmp_path, [_segment(0, 150), _segment(150, 250),
-                                         _segment(250, 300)])
+        ref = self._sort_lake(tmp_path, [s0, won_seg, s250])
         assert _bucket_hashes(job) == _bucket_hashes(ref)
 
     def test_missing_committed_file_raises(self, tmp_path):
         """The push-route twin of ``test_vacuum.py::
         test_missing_committed_file_raises``: a held table does not stand
         in for a committed file that is gone."""
-        segs = self._segments()
+        segs = self._segments(tmp_path)
         job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "lake"))
         with job.streaming_session():
             job.run_segments(segs[:2])
