@@ -57,6 +57,7 @@ import ray.data
 from plugin_debezium_ray.config import CaptureConfig, OffsetCommitMode, SnapshotMode
 from plugin_debezium_ray.envelope import payload_fields_of
 from plugin_debezium_ray.stages.apply import (
+    APPLY_COLUMNS,
     BUCKET_COL,
     BucketMerge,
     project_for_apply,
@@ -122,6 +123,9 @@ class _Prepared:
     metrics: dict
     #: events a separately committed snapshot phase consumed
     snapshot_seen: int = 0
+    #: ``{path: num_rows}`` of the input files whose footers prove the
+    #: ledger filter drops every data row (``ddl_rows_from_parquet``)
+    skipped: dict = field(default_factory=dict)
 
     def project(self):
         """The ``map_batches`` fn: decode + ledger filter + pre-reduce."""
@@ -150,7 +154,11 @@ class _Prepared:
 
 def _sort_route(prep: _Prepared) -> tuple[list[dict], dict]:
     """The sort route: ONE hash shuffle (groupby bucket), then
-    ``BucketMerge`` merges each bucket into its prior state."""
+    ``BucketMerge`` merges each bucket into its prior state.  The input
+    is narrowed to ``APPLY_COLUMNS`` block by block first: a union of
+    inputs with different columns (a pruned WAL read under a generated
+    snapshot) otherwise fails when ``map_batches`` joins their blocks
+    into one batch."""
     from plugin_debezium_ray.smallfetch import fetch_small_rows
 
     cfg = prep.cfg
@@ -161,7 +169,7 @@ def _sort_route(prep: _Prepared) -> tuple[list[dict], dict]:
 
     t0 = time.monotonic()
     stats = (
-        prep.ds.map_batches(
+        prep.ds.select_columns(list(APPLY_COLUMNS)).map_batches(
             prep.project(), batch_format="pyarrow", batch_size=cfg.batch_size
         )
         .groupby(BUCKET_COL)
@@ -318,14 +326,22 @@ class ReplayJob:
         base_fields = [] if prior else [
             (f.name, str(f.type)) for f in payload_fields_of(schema())
         ]
-        ddl = None
+        ledger = ledger_of(parent)
+        # every data row at or below the smallest mark of a ledger that
+        # covers every bucket is one the ledger filter drops
+        marks = [ledger.get(b) for b in range(cfg.num_buckets)]
+        mark = min(marks) if None not in marks else None
+        ddl, skipped = None, {}
         if ddl_source is None:
             if reads and all(r.parquet for r in reads):
-                ddl = pa.concat_tables([
-                    ddl_rows_from_parquet(*r.parquet, max_lsn=cfg.max_lsn) for r in reads
-                ], promote_options="permissive")
+                plans = [ddl_rows_from_parquet(*r.parquet, max_lsn=cfg.max_lsn,
+                                               mark=mark) for r in reads]
+                ddl = pa.concat_tables([p.ddl for p in plans],
+                                       promote_options="permissive")
                 # the rows of the row groups the footer planner read
                 metrics["registry_rows_read"] = ddl.num_rows
+                for p in plans:
+                    skipped.update(p.skipped)
             elif (sch := schema()) is not None and "ddl" in sch.names:
                 ddl = envelopes
         if ddl is None:
@@ -350,7 +366,7 @@ class ReplayJob:
         return _Prepared(
             cfg=cfg,
             parent=parent,
-            ledger=ledger_of(parent),
+            ledger=ledger,
             prior_paths=bucket_paths_of(parent),
             prior_fps=bucket_fingerprints_of(parent),
             version=version,
@@ -361,6 +377,7 @@ class ReplayJob:
             fingerprint_col=self.fingerprint_col,
             metrics=metrics,
             snapshot_seen=snapshot_seen,
+            skipped=skipped,
         )
 
     def _commit(
@@ -433,12 +450,16 @@ class ReplayJob:
         (idempotency).
 
         PRECONDITION: segment groups must be applied in ascending LSN
-        order (the log-tail contract, `ChangeConsumer.java:70-87`) — the
-        offset ledger is a per-bucket high-water mark, so applying an
-        older segment AFTER a newer one would filter the older events as
-        already-applied.  Within one group, any order is fine (the merge
-        sorts by (lsn, seq) per key).  No segment group commits nothing
-        under either cadence."""
+        order (the log-tail contract, `ChangeConsumer.java:70-87`).  The
+        offset ledger is a per-bucket high-water mark, and the filter
+        drops an event only when its ``(lsn, seq)`` is at or below the
+        mark of the event's own bucket; an older segment applied AFTER a
+        newer one loses exactly the events whose buckets the newer one
+        carried past them.  The footer skip adds no ordering assumption:
+        it drops a file only when every row is at or below the smallest
+        mark over all buckets, so only rows the filter drops.  Within
+        one group, any order is fine (the merge sorts by (lsn, seq) per
+        key).  No segment group commits nothing under either cadence."""
         if not segment_groups:
             return []
         if self.cfg.offset_commit_mode == OffsetCommitMode.ON_STOP:

@@ -35,8 +35,21 @@ pruning, filters, partitioning and ``ray_remote_args`` — or a union of
 them, whose units are each read's tasks in turn.  Any other input (a
 generated source, ``limit``, a materialized Dataset) commits on the
 sort route inside the session; the shards' held tables then trust only
-the buckets that commit left on their paths.  Every push manifest
-records ``decode_tasks``.
+the buckets that commit left on their paths.
+
+A restart costs its footers, not its log.  When the ledger has a mark
+for every bucket, the commit's footer pass (``ddl_rows_from_parquet``,
+the one that plans its DDL) also lists the files whose every row group
+proves each row's ``(lsn, seq)`` is at or below the smallest mark — rows
+the ledger filter would drop — and the route drops their read tasks, as
+Delta Lake skips files by their min/max statistics.  The pool starts at
+the first row that needs it: until then a unit runs without one and,
+when a batch keeps rows, returns without pushing; the driver starts the
+pool and runs the unit again under the same index, so its push ids do
+not change.  A restarted follower whose input the ledger covers starts
+no shard.  Every push manifest records ``decode_tasks`` (the units that
+ran), ``files_skipped``, ``rows_skipped`` (from the footers'
+``num_rows``) and ``num_shards`` (0 while no pool has started).
 
 Finalize hands each shard's drained rows to ONE ``BucketMerge`` call
 per commit (the sort route calls the same kernel once per bucket) —
@@ -97,18 +110,22 @@ from plugin_debezium_ray.stages.apply import (
 )
 
 
-def make_decode_push(proj, shards, shard_of: np.ndarray):
+def make_decode_push(proj, shards, shard_of: np.ndarray | None):
     """Shared decode-task body of the push shuffle: project/pre-reduce a
     batch, slice it by owning shard (one stable argsort + searchsorted),
     and push each slice with the batch's ``push_id``; the task completes
     only after every push is owned by its shard (backpressure + retry
     safety).  The body of ``StreamingSession``'s push route, which names
-    each batch by its place in the commit's plan (``_decode_unit``)."""
+    each batch by its place in the commit's plan (``_decode_unit``).
+    Without a pool (``shards`` None) a batch that keeps rows pushes
+    nothing and returns None: the unit needs a pool."""
 
-    def decode_and_push(t: pa.Table, push_id: tuple | None = None) -> pa.Table:
+    def decode_and_push(t: pa.Table, push_id: tuple | None = None) -> pa.Table | None:
         out = proj(t)
         n = len(out)
         if n:
+            if shards is None:
+                return None
             buckets = out[BUCKET_COL].to_numpy()
             sid = shard_of[buckets]
             order = np.argsort(sid, kind="stable")
@@ -122,6 +139,10 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
                 for s in range(len(shards))
                 if cuts[s + 1] > cuts[s]
             ]
+            # settle every push before raising for a failed one: a push
+            # still in flight when the task fails could land after the
+            # driver's ``discard``
+            ray.wait(refs, num_returns=len(refs))
             ray.get(refs)
         return pa.table({"n": pa.array([n], pa.int64())})
 
@@ -129,21 +150,26 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
 
 
 @ray.remote
-def _decode_unit(body, task, batch_size: int, index: int) -> int:
+def _decode_unit(body, task, batch_size: int, index: int) -> int | None:
     """One decode task: the rows of the ``ReadTask`` ``task`` through
     ``body`` (``make_decode_push``) ``batch_size`` rows at a time.
     ``index`` is the task's place in the commit's plan; each batch is
     pushed as ``(index, row offset of the batch within the task)``,
     counting across the blocks the task yields, so a retry of the task
     sends the same ids again.  Returns the projected rows pushed, once
-    every push is owned by its shard."""
+    every push is owned by its shard, or None as soon as a pool-less
+    ``body`` meets a batch that keeps rows: nothing was pushed, and the
+    unit must run again on a pool."""
     from ray.data.block import BlockAccessor
 
     n = offset = 0
     for block in task():
         t = BlockAccessor.for_block(block).to_arrow()
         for lo in range(0, t.num_rows, batch_size):
-            n += body(t.slice(lo, batch_size), (index, offset + lo))["n"][0].as_py()
+            out = body(t.slice(lo, batch_size), (index, offset + lo))
+            if out is None:
+                return None
+            n += out["n"][0].as_py()
         offset += t.num_rows
     return n
 
@@ -324,27 +350,54 @@ class StreamingSession:
     keeps open for its whole lifetime instead of paying shard-actor
     startup per arrival batch.  A job has at most one open session.
 
-    The pool survives across commits (the multi-commit soak surface):
-    ``seen_pushes``/``events_seen`` reset at each commit boundary,
-    incremental compaction keeps running, and each ``finalize`` drains
-    the buffered rows into that commit.  State after N commits is
-    identical to the sort route's — same lake bytes, same manifest-chain
-    semantics.  Use as a context manager (``close()`` kills the shard
-    actors and hands the job back to the sort route)."""
+    The pool starts at the first row that needs it: a commit's decode
+    units run pool-less until one meets a row the ledger filter keeps,
+    and ``shards`` starts it on first access.  A restarted follower whose
+    input the ledger already covers starts no shard, and ``close()`` then
+    has nothing to wait for.  The pool survives across commits (the
+    multi-commit soak surface): ``seen_pushes``/``events_seen`` reset at
+    each commit boundary, incremental compaction keeps running, and each
+    ``finalize`` drains the buffered rows into that commit.  State after
+    N commits is identical to the sort route's — same lake bytes, same
+    manifest-chain semantics.  Use as a context manager (``close()``
+    kills the shard actors and hands the job back to the sort route)."""
 
     def __init__(self, job, *, num_shards: int | None = None):
         if job._route is not _sort_route:
             raise RuntimeError("a StreamingSession is already open on this job")
         self.job = job
-        self.shards, self.shard_of = _make_shard_pool(job.cfg, num_shards)
+        self._num_shards = num_shards
+        #: the pool and its bucket→shard table, once started
+        self._shards: list | None = None
+        self._shard_of: np.ndarray | None = None
         #: decode tasks the driver keeps in flight
         self._window = max(1, int(ray.cluster_resources().get("CPU", 1)))
         self.commits = 0
         self._closed = False
-        # asked once at pool start (shards never move), read at the
-        # first commit so actor start-up overlaps that commit's stream
-        self._node_refs = [s.node_id.remote() for s in self.shards]
         job._route = self._push
+
+    def _pool(self) -> tuple[list, np.ndarray]:
+        """The pool, started on first use."""
+        if self._closed:
+            raise RuntimeError("StreamingSession is closed")
+        if self._shards is None:
+            self._shards, self._shard_of = _make_shard_pool(
+                self.job.cfg, self._num_shards)
+            # asked once at pool start (shards never move), read after
+            # the pool's first finalize
+            self._node_refs = [s.node_id.remote() for s in self._shards]
+        return self._shards, self._shard_of
+
+    @property
+    def shards(self) -> list:
+        """The MergeShard actors; the first access starts the pool."""
+        return self._pool()[0]
+
+    @property
+    def shard_of(self) -> np.ndarray:
+        """Bucket → index into ``shards``; the first access starts the
+        pool."""
+        return self._pool()[1]
 
     @functools.cached_property
     def shard_nodes(self) -> int:
@@ -366,11 +419,17 @@ class StreamingSession:
         other input commits on ``_sort_route``.
 
         - Units: each read's read tasks, one per file, read after read
-          (``_file_reads``).  Each unit is one ``_decode_unit`` task,
-          submitted with its read's ``ray_remote_args``, running the
-          ``make_decode_push`` body, which is shipped once with
-          ``ray.put``.  Units are numbered in submission order; a
-          batch's push id is ``(unit index, row offset)``.
+          (``_file_reads``), less every task whose input files the
+          ledger covers (``prep.skipped``).  Each unit is one
+          ``_decode_unit`` task, submitted with its read's
+          ``ray_remote_args``, running the ``make_decode_push`` body,
+          which is shipped once with ``ray.put``.  Units are numbered in
+          plan order, skipped ones included; a batch's push id is
+          ``(unit index, row offset)``.
+        - Pool: until the pool has started, units run pool-less; a unit
+          that meets a row the ledger keeps returns without pushing, and
+          the driver starts the pool and submits it again, under the
+          same index, with the pool's body.
         - Window: at most the cluster's CPU count of tasks in flight;
           the driver submits the next unit as one finishes.
         - Barrier: every task is drained before finalize, and a task
@@ -388,7 +447,17 @@ class StreamingSession:
             return _sort_route(prep)
         self.commits += 1
         t_decode = time.monotonic()
-        pushed, tasks = self._decode(prep, reads)
+        plan = [(read, task) for read in reads
+                for task in read.datasource.get_read_tasks(len(read.files))]
+        units, files_skipped, rows_skipped = [], 0, 0
+        for index, (read, task) in enumerate(plan):
+            files = task.metadata.input_files
+            if files and all(f in prep.skipped for f in files):
+                files_skipped += len(files)
+                rows_skipped += sum(prep.skipped[f] for f in files)
+            else:
+                units.append((index, read, task))
+        pushed, tasks = self._decode(prep, units)
         t_final = time.monotonic()
         metrics = {
             # phase latencies (per-commit lineage): decode+push tasks vs
@@ -397,9 +466,11 @@ class StreamingSession:
             "decode_seconds": round(t_final - t_decode, 4),
             "finalize_seconds": 0,
             "decode_tasks": tasks,
+            "files_skipped": files_skipped,
+            "rows_skipped": rows_skipped,
             "streaming_apply": True,
             "streaming_session_commit": self.commits,
-            "num_shards": len(self.shards),
+            "num_shards": len(self._shards or ()),
         }
         if not pushed:
             # nothing pushed (e.g. the ledger dropped every row), so
@@ -408,35 +479,47 @@ class StreamingSession:
             # and a finalize drains everything buffered
             return [], metrics
         merge_kw = prep.merge_kw()
-        stats = ray.get([s.finalize.remote(**merge_kw) for s in self.shards])
+        stats = ray.get([s.finalize.remote(**merge_kw) for s in self._shards])
         metrics["finalize_seconds"] = round(time.monotonic() - t_final, 4)
         metrics["shard_nodes"] = self.shard_nodes
         return [r for rows in stats for r in rows], metrics
 
-    def _decode(self, prep, reads) -> tuple[int, int]:
-        """Run ``_push``'s decode tasks over ``reads``; returns (projected
-        rows pushed, tasks run)."""
-        body = ray.put(make_decode_push(prep.project(), self.shards, self.shard_of))
-        units = (
-            (_decode_unit.options(**read.ray_remote_args), task)
-            for read in reads
-            for task in read.datasource.get_read_tasks(len(read.files))
-        )
-        pending: list = []
+    def _decode(self, prep, units: list) -> tuple[int, int]:
+        """Run ``_push``'s decode tasks over ``units`` — ``(index, read,
+        task)`` — starting the pool when a pool-less unit needs it;
+        returns (projected rows pushed, units run)."""
+        proj = prep.project()
+        body = ray.put(make_decode_push(proj, self._shards, self._shard_of))
+        todo = list(reversed(units))
+        pending: dict = {}  # task ref -> its unit
         pushed = tasks = 0
         try:
-            for decode, task in units:
-                if len(pending) >= self._window:
-                    done, pending = ray.wait(pending)
-                    pushed += ray.get(done[0])
-                pending.append(decode.remote(body, task, prep.cfg.batch_size, tasks))
-                tasks += 1
-            pushed += sum(ray.get(pending))
+            while todo or pending:
+                if todo and len(pending) < self._window:
+                    unit = todo.pop()
+                    index, read, task = unit
+                    ref = _decode_unit.options(**read.ray_remote_args).remote(
+                        body, task, prep.cfg.batch_size, index)
+                    pending[ref] = unit
+                    continue
+                [done], _ = ray.wait(list(pending))
+                n = ray.get(done)
+                unit = pending.pop(done)
+                if n is None:
+                    # a pool-less unit met a row the ledger keeps: start
+                    # the pool, then run the unit again under its index
+                    if self._shards is None:
+                        body = ray.put(make_decode_push(proj, *self._pool()))
+                    todo.append(unit)
+                else:
+                    pushed += n
+                    tasks += 1
         except Exception:
             if pending:
-                ray.wait(pending, num_returns=len(pending))
-            drops = [s.discard.remote() for s in self.shards]
-            ray.wait(drops, num_returns=len(drops))
+                ray.wait(list(pending), num_returns=len(pending))
+            if self._shards is not None:
+                drops = [s.discard.remote() for s in self._shards]
+                ray.wait(drops, num_returns=len(drops))
             raise
         return pushed, tasks
 
@@ -444,12 +527,14 @@ class StreamingSession:
         if not self._closed:
             self._closed = True
             self.job._route = _sort_route
+            if self._shards is None:
+                return
             # wait for shards still starting (a session whose commits
             # pushed nothing never waited on them): on a 1-core host,
             # killing them mid-start made a loop of short sessions stall
             # other Ray tasks for over 30 s after about 110 sessions
             ray.wait(self._node_refs, num_returns=len(self._node_refs))
-            for s in self.shards:
+            for s in self._shards:
                 ray.kill(s)
 
     def __enter__(self) -> "StreamingSession":

@@ -10,7 +10,9 @@ reads, the DDL rows are planned from those files' footers (``ddl_rows_from_parqu
 if the read prunes the ``ddl`` column: only row groups whose ``ddl``
 column is not all null are read, which plays the part of the reference's
 small schema-history file.  Any other input is scanned for them
-(``registry_from_envelopes``).
+(``registry_from_envelopes``).  The same footer pass lists the files
+whose ``lsn``/``seq`` statistics put every row at or below a ledger mark,
+which the push route then does not read.
 
 DDL payloads (JSON in the envelope's ``ddl`` column, op='ddl'):
   {"action": "add_column", "name": ..., "type": "<arrow alias>", "default": ...}
@@ -20,6 +22,7 @@ DDL payloads (JSON in the envelope's ``ddl`` column, op='ddl'):
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import pyarrow as pa
 
@@ -156,29 +159,68 @@ def registry_from_envelopes(
     return reg
 
 
-def ddl_rows_from_parquet(filesystem: "pyarrow.fs.FileSystem", files: list[str],
-                          *, max_lsn: int | None = None) -> pa.Table:
-    """The ``DDL_COLUMNS`` rows of the parquet row groups of ``files`` on
-    ``filesystem`` that can hold DDL, planned from each file's own footer
-    and read in the driver — no Ray Data run.  ``ReplayJob`` passes the
-    files and filesystem of a ``read_parquet`` input, so the files are
-    the ones Ray Data resolved for that read.
+class FooterPlan(NamedTuple):
+    """What ``ddl_rows_from_parquet`` planned from a read's footers."""
 
-    A file without a ``ddl`` column contributes nothing.  A row group is
-    skipped only when its footer proves it holds no DDL: the ``ddl``
-    chunk's statistics count ``num_rows`` nulls, or (under ``max_lsn``)
-    the ``lsn`` chunk's minimum is above ``max_lsn``.  A row group
-    without statistics is read.  The result keeps every row of the row
-    groups read, so its ``num_rows`` is what the planner read;
-    ``registry_from_envelopes`` picks the DDL rows from it."""
+    #: the ``DDL_COLUMNS`` rows of every row group that can hold DDL
+    ddl: pa.Table
+    #: ``{path: num_rows}`` of the files whose every row is at or below
+    #: the ``mark`` it was given
+    skipped: dict
+
+
+def _at_or_below(rg, lsn_j: int, seq_j: int, mark: tuple[int, int]) -> bool:
+    """The row group's footer proves every row's ``(lsn, seq)`` is at or
+    below ``mark``: both columns are integers with min/max statistics and
+    no nulls."""
+    stats = []
+    for j in (lsn_j, seq_j):
+        col = rg.column(j)
+        st = col.statistics
+        if (col.physical_type not in ("INT32", "INT64") or st is None
+                or not st.has_min_max or not st.has_null_count
+                or st.null_count):
+            return False
+        stats.append(st)
+    lsn, seq = stats
+    return lsn.max < mark[0] or (lsn.max == mark[0] and seq.max <= mark[1])
+
+
+def ddl_rows_from_parquet(filesystem: "pyarrow.fs.FileSystem", files: list[str],
+                          *, max_lsn: int | None = None,
+                          mark: tuple[int, int] | None = None) -> FooterPlan:
+    """Plan a read of ``files`` on ``filesystem`` from each file's own
+    footer, opening each footer once, in the driver — no Ray Data run.
+    ``ReplayJob`` passes the files and filesystem of a ``read_parquet``
+    input, so the files are the ones Ray Data resolved for that read.
+
+    ``ddl`` holds the ``DDL_COLUMNS`` rows of the row groups that can hold
+    DDL.  A file without a ``ddl`` column contributes nothing.  A row
+    group is skipped only when its footer proves it holds no DDL: the
+    ``ddl`` chunk's statistics count ``num_rows`` nulls, or (under
+    ``max_lsn``) the ``lsn`` chunk's minimum is above ``max_lsn``.  A row
+    group without statistics is read.  The table keeps every row of the
+    row groups read, so its ``num_rows`` is what the planner read;
+    ``registry_from_envelopes`` picks the DDL rows from it.
+
+    ``skipped`` lists the files, with their ``num_rows``, whose every row
+    group proves each row's ``(lsn, seq)`` is at or below ``mark``
+    (``_at_or_below``); empty without a ``mark``.  ``ReplayJob`` passes
+    the smallest mark of a ledger that covers every bucket, so the ledger
+    filter would drop every data row of such a file."""
     import pyarrow.parquet as pq
 
-    parts = []
+    parts, skipped = [], {}
     for path in files:
         with filesystem.open_input_file(path) as f:
             pf = pq.ParquetFile(f)
             md = pf.metadata
             cols = [md.schema.column(j).path for j in range(md.num_columns)]
+            if (mark is not None and "lsn" in cols and "seq" in cols
+                    and all(_at_or_below(md.row_group(i), cols.index("lsn"),
+                                         cols.index("seq"), mark)
+                            for i in range(md.num_row_groups))):
+                skipped[path] = md.num_rows
             if "ddl" not in cols:
                 continue
             ddl_j, lsn_j = cols.index("ddl"), cols.index("lsn")
@@ -196,6 +238,8 @@ def ddl_rows_from_parquet(filesystem: "pyarrow.fs.FileSystem", files: list[str],
             if keep:
                 parts.append(pf.read_row_groups(keep, columns=DDL_COLUMNS))
     if not parts:
-        return pa.schema([("lsn", pa.int64()), ("seq", pa.int64()),
-                          ("op", pa.string()), ("ddl", pa.string())]).empty_table()
-    return pa.concat_tables(parts, promote_options="permissive")
+        ddl = pa.schema([("lsn", pa.int64()), ("seq", pa.int64()),
+                         ("op", pa.string()), ("ddl", pa.string())]).empty_table()
+    else:
+        ddl = pa.concat_tables(parts, promote_options="permissive")
+    return FooterPlan(ddl, skipped)

@@ -27,7 +27,9 @@ def _write_segment(dir_path: str, idx: int, n_events: int, base_lsn: int):
     df = binlog(n_events, N_KEYS, seed=SEED, base_lsn=base_lsn).to_pandas()
     tmp = os.path.join(dir_path, f".seg-{idx:04d}.parquet.tmp")
     final = os.path.join(dir_path, f"seg-{idx:04d}.parquet")
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp)
+    # no pandas schema metadata: the WAL files hold what a producer writes
+    pq.write_table(pa.Table.from_pandas(df, preserve_index=False)
+                   .replace_schema_metadata(None), tmp)
     os.rename(tmp, final)
     return final
 

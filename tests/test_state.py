@@ -360,7 +360,7 @@ class TestDdlPlanner:
     def _plan(paths, max_lsn=None) -> pa.Table:
         """The DDL rows a commit of ``read_parquet(paths)`` plans."""
         [read] = _file_reads(ray.data.read_parquet(paths))
-        return ddl_rows_from_parquet(*read.parquet, max_lsn=max_lsn)
+        return ddl_rows_from_parquet(*read.parquet, max_lsn=max_lsn).ddl
 
     def _registry(self, paths, scan_paths=None, max_lsn=None):
         """(registry snapshot, planned table); asserts the footer-planned

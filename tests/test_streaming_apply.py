@@ -329,8 +329,14 @@ class TestShardLoss:
         env = wal_read(tmp_path, binlog(N_EVENTS, N_KEYS, seed=SEED))
         snap = wal_read(tmp_path, snapshot_envelopes(N_KEYS, seed=SEED))
         monkeypatch.setattr(sa, "_make_shard_pool", sabotaged)
-        with pytest.raises(Exception):
-            pushed(job, job.run, env, snapshot=snap)
+        with job.streaming_session(num_shards=2) as session:
+            with pytest.raises(Exception):
+                job.run(env, snapshot=snap)
+            # the commit started the pool, and the live shard discarded
+            # what the failed commit pushed to it
+            assert session._shards is not None
+            assert ray.get(session.shards[1].counters.remote()) == {
+                "events_seen": 0, "pushes": 0, "buffered": 0}
         monkeypatch.setattr(sa, "_make_shard_pool", real_make)
         # atomicity: the failed run committed nothing
         assert job.ckpt.restore() is None
@@ -546,6 +552,28 @@ class TestOneApplySurface:
             res = job.run(ds) if route == "sort" else pushed(job, job.run, ds)
         assert (res.version, res.events_seen) == (1, 900)
         assert job.ckpt.restore()["schema"]["log"] == [self.RENAME]
+
+    @pytest.mark.parametrize("route", ["sort", "session"])
+    def test_pruned_read_under_a_generated_snapshot(self, tmp_path, route):
+        """A pruned WAL read joined to a generated snapshot: the union's
+        inputs carry different columns, and the sort route narrows them
+        to ``APPLY_COLUMNS`` before it batches rows of both together.
+        The union is not a file read, so a session commits it on the
+        sort route too."""
+        wal = wal_read(tmp_path, binlog(1200, 150, seed=SEED))
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        snap = snapshot_envelopes(150, seed=SEED)
+        if route == "sort":
+            res = job.run(wal, snapshot=snap)
+        else:
+            with job.streaming_session(num_shards=2):
+                res = job.run(wal, snapshot=snap)
+        assert res.events_seen == 1200 + 150
+        assert "streaming_apply" not in res.metrics
+        assert _state(job) == {
+            k: hashlib.sha256(r["content"].encode()).hexdigest()
+            for k, r in oracle_apply(1200, 150, seed=SEED).items()
+        }
 
     def test_filtered_read_keeps_the_scan_rule(self, tmp_path):
         """A row ``filter=`` chooses which events the commit sees, so a
