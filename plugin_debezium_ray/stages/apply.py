@@ -257,11 +257,13 @@ def _ledger_filter(t: pa.Table, ledger: dict[int, tuple[int, int]]) -> pa.Table:
 
 
 def _winners_and_weights(
-    key: np.ndarray, lsn: np.ndarray, seq: np.ndarray
+    key: np.ndarray, lsn: np.ndarray, seq: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Winner index (the max-(lsn, seq) row) per key plus the count of
-    rows it subsumes — pure numpy after a single factorize pass, no
-    object-dtype groupby in the hot path.
+    """Winner index (the max-(lsn, seq) row) per key plus the events it
+    subsumes: the count of its key's rows, or the sum of their
+    ``weights`` when the rows are already pre-reduced — pure numpy after
+    a single factorize pass, no object-dtype groupby in the hot path.
 
     factorize → lexsort by (lsn, seq) → reversed-order np.unique gives
     the LAST occurrence per key code (= LWW winner), all vectorized."""
@@ -270,8 +272,7 @@ def _winners_and_weights(
     rev = order[::-1]
     _, first_in_rev = np.unique(codes[rev], return_index=True)
     win = rev[first_in_rev]
-    weights = np.bincount(codes)[codes[win]]
-    return win, weights
+    return win, np.bincount(codes, weights)[codes[win]].astype(np.int64)
 
 
 # four fixed 16-byte SipHash keys → four independent 64-bit lanes per

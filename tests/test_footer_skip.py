@@ -8,7 +8,6 @@ import argparse
 import hashlib
 import os
 import types
-from collections import Counter
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -83,7 +82,7 @@ def _base(tmp_path, data=None) -> tuple[ReplayJob, list[str]]:
 @pytest.fixture
 def submitted(monkeypatch):
     """The input files of every decode task the driver submits, in
-    order, as ``(unit index, [file basenames])``."""
+    order, as lists of file basenames."""
     units = []
     real = sa._decode_unit
 
@@ -91,10 +90,10 @@ def submitted(monkeypatch):
         def options(self, **kw):
             opts = real.options(**kw)
 
-            def remote(body, task, batch_size, index):
-                units.append((index, [os.path.basename(f)
-                                      for f in task.metadata.input_files]))
-                return opts.remote(body, task, batch_size, index)
+            def remote(proj, shard_of, n_shards, task, batch_size):
+                units.append([os.path.basename(f)
+                              for f in task.metadata.input_files])
+                return opts.remote(proj, shard_of, n_shards, task, batch_size)
 
             return types.SimpleNamespace(remote=remote)
 
@@ -118,7 +117,7 @@ class TestFooterSkip:
         job, paths = _base(tmp_path)
         before = _bucket_hashes(job)
         res, session = _restart(job, _read(paths))
-        assert submitted == [(SEGS, ["seg-00008.parquet"])]
+        assert submitted == [["seg-00008.parquet"]]
         want = {"decode_tasks": 1, "files_skipped": 8,
                 "rows_skipped": 2 + 7 * N // SEGS, "num_shards": 0,
                 "events_seen": 0, "events_applied": 0}
@@ -144,7 +143,7 @@ class TestFooterSkip:
         job, paths = _base(tmp_path, data)
         assert 0 not in job.ckpt.restore()["ledger"]
         res, session = _restart(job, _read(paths))
-        assert sorted(i for i, _ in submitted) == list(range(SEGS + 1))
+        assert submitted == [[os.path.basename(p)] for p in paths]
         assert (res.metrics["files_skipped"], res.metrics["rows_skipped"],
                 res.metrics["decode_tasks"]) == (0, 0, SEGS + 1)
         assert res.events_seen == 0 and session._shards is None
@@ -166,10 +165,9 @@ class TestFooterSkip:
         extra = str(tmp_path / "wal" / "seg-00009.parquet")
         pq.write_table(later, extra)
         res, _ = _restart(job, _read([*paths, extra]))
-        # segment 9 ran pool-less, found its row, and ran again on the pool
-        assert [f for _, f in submitted] == [["seg-00008.parquet"],
-                                             ["seg-00009.parquet"],
-                                             ["seg-00009.parquet"]]
+        # segment 9's task returned its row, so the driver started the
+        # pool; no unit ran twice
+        assert submitted == [["seg-00008.parquet"], ["seg-00009.parquet"]]
         assert (res.metrics["files_skipped"], res.metrics["decode_tasks"],
                 res.metrics["num_shards"]) == (8, 2, 2)
         assert res.events_seen == 1 and res.events_applied == 1
@@ -194,8 +192,7 @@ class TestFooterSkip:
                                  pa.nulls(1, pa.int64()))
             pq.write_table(pa.concat_tables([seg1, msg]), extra)
         res, session = _restart(job, _read([*paths, extra]))
-        assert [f for _, f in submitted] == [["seg-00008.parquet"],
-                                             ["copy.parquet"]]
+        assert submitted == [["seg-00008.parquet"], ["copy.parquet"]]
         assert res.metrics["files_skipped"] == 8
         assert res.metrics["decode_tasks"] == 2
         assert res.events_seen == 0 and session._shards is None
@@ -234,25 +231,19 @@ class TestLazyPool:
         with pytest.raises(RuntimeError, match="closed"):
             session.shards
 
-    def test_first_commit_resubmits_the_units_that_need_a_pool(
-        self, tmp_path, submitted
-    ):
-        """A fresh lake's first commit: the units in flight before the
-        pool starts run pool-less, find rows, and run again under the
-        same index; each counts once and the lake is the sort route's."""
+    def test_first_commit_decodes_each_unit_once(self, tmp_path, submitted):
+        """A fresh lake's first commit: a window of units is split by
+        shard before the pool exists, the driver starts the pool at the
+        first task that kept rows, and every unit is decoded once; each
+        event counts once and the lake is the sort route's."""
         paths = _wal(str(tmp_path / "wal"))
         sort = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "sort"))
         want = sort.run(_read(paths))
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
         with job.streaming_session(num_shards=2) as session:
-            assert session._window >= 2
+            assert session._window >= 2 and session._shards is None
             res = job.run(_read(paths))
-        runs = Counter(i for i, _ in submitted)
-        assert sorted(runs) == list(range(SEGS + 1))
-        # the first window of units went out before the pool existed
-        first = [i for i, _ in submitted[:session._window]]
-        assert first == list(range(session._window))
-        assert sum(n == 2 for n in runs.values()) >= 2
+        assert submitted == [[os.path.basename(p)] for p in paths]
         assert res.metrics["decode_tasks"] == SEGS + 1
         assert res.metrics["num_shards"] == 2
         assert res.events_seen == want.events_seen == N

@@ -94,53 +94,6 @@ class TestStreamingApply:
         pushed(b, b.run, s2.union(s1))
         assert _state(a) == _state(b)
 
-    def test_retried_push_is_deduped(self):
-        """A retried decode task re-sends its batches under the same
-        ``(unit index, row offset)`` ids; the shard drops them
-        (exactly-once events_seen accounting under Ray task retries).
-        The same rows under another id are another push: rows that
-        really repeat in the input count again, as on the sort route."""
-        import pandas as pd
-        import pyarrow as pa
-
-        import ray as _ray
-
-        from plugin_debezium_ray.pipelines.streaming_apply import MergeShard
-
-        shard = MergeShard.remote(("repo", "path"), 0, 4)
-        t = pa.table(
-            {
-                "lsn": pa.array([1, 2], pa.int64()),
-                "seq": pa.array([0, 0], pa.int64()),
-                "deleted": pa.array([False, False]),
-                "repo": ["r1", "r1"],
-                "path": ["a", "b"],
-                "content": ["x", "y"],
-                "_bucket": pa.array([0, 0], pa.int32()),
-                "_weight": pa.array([3, 4], pa.int64()),
-            }
-        )
-        _ray.get(shard.ingest.remote(t, (0, 0)))
-        _ray.get(shard.ingest.remote(t, (0, 0)))  # the retry
-        c = _ray.get(shard.counters.remote())
-        assert c["events_seen"] == 7  # 3 + 4, counted ONCE
-        assert c["pushes"] == 1 and c["buffered"] == 2
-        _ray.get(shard.ingest.remote(t, (1, 0)))  # the next unit, same rows
-        c = _ray.get(shard.counters.remote())
-        assert c["events_seen"] == 14 and c["pushes"] == 2
-        # commit boundary bounds the dedup set: finalize clears it (no
-        # task of a committed segment can retry past the decode barrier)
-        import tempfile
-
-        with tempfile.TemporaryDirectory(dir="/tmp") as d:
-            _ray.get(shard.finalize.remote(
-                d, "v000001", prior_paths={}, prior_fingerprints={},
-                ledger={}, fingerprint_col="content",
-            ))
-        c2 = _ray.get(shard.counters.remote())
-        assert c2 == {"events_seen": 0, "pushes": 0, "buffered": 0}
-        _ray.kill(shard)
-
     def test_schema_evolution_by_the_default_ddl_rule(self, tmp_path):
         """DDL in the input replays through the streaming path under the
         default rule (same ST3 contract as the sort path)."""
@@ -184,7 +137,8 @@ class TestStreamingApply:
 class TestStreamingSoak:
     """Multi-commit streaming sessions (VERDICT r2 #7): N sequential WAL
     segments through ONE shard pool, one atomic commit per segment —
-    exercises seen_pushes growth and incremental compaction over time."""
+    exercises the per-commit counters and incremental compaction over
+    time."""
 
     #: one commit per segment (ON_STOP commits their union once)
     CFG = dict(num_buckets=8, offset_commit_mode=OffsetCommitMode.ON_EACH_BATCH)
@@ -321,10 +275,10 @@ class TestShardLoss:
 
         real_make = sa._make_shard_pool
 
-        def sabotaged(cfg, num_shards):
-            shards, shard_of = real_make(cfg, num_shards)
+        def sabotaged(cfg, shard_of, cpus):
+            shards = real_make(cfg, shard_of, cpus)
             ray.kill(shards[0])  # one shard dies before the stream starts
-            return shards, shard_of
+            return shards
 
         env = wal_read(tmp_path, binlog(N_EVENTS, N_KEYS, seed=SEED))
         snap = wal_read(tmp_path, snapshot_envelopes(N_KEYS, seed=SEED))
@@ -766,56 +720,70 @@ class TestDecodeUnits:
             assert got.events_seen == want.events_seen == 600, form
             assert _bucket_hashes(push) == _bucket_hashes(sort), form
 
-    def test_push_ids_count_rows_across_the_blocks_of_a_unit(self):
-        """A read task may yield several blocks: each batch is named by
-        its unit's index and its row offset within the whole unit."""
+    def test_unit_splits_every_block_by_shard(self):
+        """A read task may yield several blocks: the unit's per-shard
+        counts and slices hold every projected row of all of them, each
+        in the shard that owns its bucket."""
+        import numpy as np
         import pyarrow as pa
+        import pyarrow.compute as pc
         from ray.data.block import BlockMetadata
         from ray.data.datasource import ReadTask
 
         from plugin_debezium_ray.pipelines.streaming_apply import _decode_unit
 
-        blocks = [pa.table({"x": range(250)}), pa.table({"x": range(120)})]
+        def block(lo, hi):
+            x = np.arange(lo, hi)
+            return pa.table({"_bucket": pa.array(x * 7 % 8, pa.int32()),
+                             "x": x})
+
+        blocks = [block(0, 250), block(250, 370)]
         unit = ReadTask(lambda: iter(blocks), BlockMetadata(370, None, None, None))
-        ids = []
+        batches = []
 
-        def body(t, push_id):
-            ids.append((push_id, t.num_rows))
-            return pa.table({"n": [t.num_rows]})
+        def proj(t):  # keeps the even rows of each 100-row batch
+            batches.append(t.num_rows)
+            return t.filter(pc.equal(pc.bit_wise_and(t["x"], 1), 0))
 
-        assert _decode_unit._function(body, unit, 100, 5) == 370
-        assert ids == [((5, 0), 100), ((5, 100), 100), ((5, 200), 50),
-                       ((5, 250), 100), ((5, 350), 20)]
+        shard_of = np.arange(8) // 4
+        counts, *slices = _decode_unit._function(proj, shard_of, 2, unit, 100)
+        assert batches == [100, 100, 50, 100, 20]
+        assert counts == [len(s) for s in slices] == [93, 92]
+        assert sorted(x for s in slices for x in s["x"].to_pylist()) \
+            == list(range(0, 370, 2))
+        for s, part in enumerate(slices):
+            assert set(shard_of[part["_bucket"].to_numpy()]) == {s}
 
     def test_retried_decode_task_counts_each_event_once(
         self, tmp_path, monkeypatch
     ):
-        """A decode task's worker dies after its first push, on the first
-        attempt only, and Ray re-runs the task: the re-sent batch carries
-        the same id and is dropped, so each event counts once."""
-        from plugin_debezium_ray.pipelines import streaming_apply as sa
+        """A decode task's worker dies inside the task — in the
+        projection the driver ships — on the first attempt only, and Ray
+        re-runs the task: only the driver ingests, once per unit, from
+        the final attempt, so each event counts once."""
+        from plugin_debezium_ray.pipelines import replay
 
         paths = self._wal(tmp_path, 1200, 4)
         died = str(tmp_path / "died")
-        real = sa.make_decode_push
+        real = replay._Prepared.project
 
-        def dying_after_first_push(proj, shards, shard_of):
-            body = real(proj, shards, shard_of)
+        def dying_once(prep):
+            proj = real(prep)
 
-            def decode_and_push(t, push_id=None):
-                out = body(t, push_id)
+            def project(t):
+                out = proj(t)
                 if not os.path.exists(died):
                     open(died, "w").close()
                     os._exit(1)
                 return out
 
-            return decode_and_push
+            return project
 
         job = ReplayJob(CaptureConfig(num_buckets=8, batch_size=100),
                         str(tmp_path / "lake"))
         with job.streaming_session(num_shards=2):
             assert job.run(self._read(paths[:1])).version == 1
-            monkeypatch.setattr(sa, "make_decode_push", dying_after_first_push)
+            monkeypatch.setattr(replay._Prepared, "project", dying_once)
             res = job.run(self._read(paths[1:]))
         assert os.path.exists(died)
         assert res.version == job.ckpt.current_version() == 2
@@ -1107,6 +1075,36 @@ class TestHeldBucketTables:
         ref = self._sort_lake(tmp_path, segs)
         assert _bucket_hashes(job) == _bucket_hashes(ref)
         assert _lake_state(job.table_dir) == _oracle(self.CUTS[-1])
+
+    def test_idle_shard_keeps_its_held_tables(self, tmp_path):
+        """A shard that gets no rows in a commit keeps the tables it
+        holds: with 2 shards over 8 buckets, commit 2 touches only shard
+        0's buckets, and commit 3, over shard 1's, reads no prior file."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        from plugin_debezium_ray.stages.apply import project_for_apply
+
+        events = pa.concat_tables([t for t in ray.get(
+            _segment(75, 300).to_arrow_refs()) if t.num_rows])
+        rows = project_for_apply(KEYS, 8)(events)
+        bucket = dict(zip(zip(*(rows[c].to_pylist() for c in KEYS)),
+                          rows["_bucket"].to_pylist()))
+        shard = [bucket[k] // 4 for k in zip(
+            *(pc.struct_field(events["key"], c).to_pylist() for c in KEYS))]
+        segs = [wal_read(tmp_path, _segment(0, 75))] + [
+            wal_read(tmp_path, ray.data.from_arrow(
+                events.filter(pa.array([x == s for x in shard]))))
+            for s in (0, 1)
+        ]
+        job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "lake"))
+        with job.streaming_session(num_shards=2):
+            results = job.run_segments(segs)
+        assert all(r.metrics["streaming_apply"] for r in results)
+        assert [r.metrics["buckets_touched"] for r in results] == [8, 4, 4]
+        assert [r.metrics["prior_files_read"] for r in results] == [0, 0, 0]
+        assert _lake_state(job.table_dir) == _oracle(300)
+        assert _bucket_hashes(job) == _bucket_hashes(self._sort_lake(tmp_path, segs))
 
     def test_sort_writer_between_session_commits(self, tmp_path):
         """Another writer commits between two session commits: the
