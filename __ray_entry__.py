@@ -193,8 +193,8 @@ def q_cdc_bounded_replay(sf_dir: str):
 def q_cdc_lww_apply(sf_dir: str):
     """M1-M9 + ST1/2.5/2.6: full keyed LWW apply of the event stream —
     final table state (upserts minus deletes, ordered by lsn per key).
-    One ``job.run`` commit: no shard pool is open, so the sort route
-    applies it (the same lake bytes as the push route)."""
+    One ``job.run`` commit: no shard pool is open, so plain merge tasks
+    apply it (the same lake bytes as a session's shards)."""
     env = _events_envelopes(sf_dir)
     with tempfile.TemporaryDirectory(prefix="lww_", dir="/tmp") as d:
         job = ReplayJob(

@@ -48,7 +48,7 @@ REPLAY_BATCH = 131072  # measured sweet spot (262144 degrades: buffering)
 # so small blocks keep all slots busy (512 MB starved the sort at 1-2
 # blocks per 1M-event segment; measured 27.4s -> 18.5s at 32 cpus)
 TARGET_BLOCK_MB = int(os.environ.get("GRAFT_BLOCK_MB", "32"))
-# the replay runs the barrier-free actor-pool merge (the push route, a
+# the replay merges on a session's long-lived shard actors (a
 # ``streaming_session`` around ``run``): 8.4M
 # WAL 45.6 -> 7.8 s at 32 cpus vs one sort-shuffle run; 50.4M WAL 36 s at
 # 32 / 119 s at 8 -> scaling efficiency 0.83

@@ -11,9 +11,10 @@ Each command prints ONE JSON line with its result metrics so job logs
 are machine-parseable (mirrors ``bench.py``'s contract).
 
 Commands:
-  replay   WAL parquet segments → lake upsert, one commit (sort route)
+  replay   WAL parquet segments → lake upsert, one commit (plain merge
+           tasks)
   follow   watch a WAL directory, commit each arrival batch until idle
-           (one shard pool for the whole run: push route)
+           (one shard pool for the whole run merges every commit)
   capture  WAL parquet segments → per-stream files (parquet/jsonl/ion)
   lineage  committed per-bucket lineage of a lake table
   history  retained commit versions of a lake (time-travel horizon)

@@ -12,31 +12,27 @@ One job object with the reference's three surfaces
 Every commit runs ONE core, ``run``:
 
     _prepare  restore the parent commit once (ledger, prior bucket files
-              and fingerprints, version, this attempt's data dir), replay
-              schema history into the registry, apply ``max_records`` and
-              the ``snapshot_mode`` rules (NO_DATA, the sub-commit of
-              ``max_snapshot_duration``)
-    route     map_batches(project_for_apply: decode + ledger filter +
-              per-batch LWW pre-reduce), then route each bucket's events
-              to ``BucketMerge`` (per-bucket merge + deterministic Parquet
-              write), by one of two strategies:
-                sort — groupby(_bucket).map_groups(BucketMerge), one hash
-                       shuffle (SURVEY.md §7.3)
-                push — decode tasks push slices into MergeShard actors,
-                       ``MergeShard.finalize`` merges all of a shard's
-                       buckets in one ``BucketMerge`` call
-                       (``pipelines/streaming_apply.py``)
+              and fingerprints, version, this attempt's data dir), apply
+              ``max_records`` and the ``snapshot_mode`` rules (NO_DATA,
+              the sub-commit of ``max_snapshot_duration``), replay schema
+              history into the registry, and cut the input into decode
+              units: a file read's own read tasks, less the files the
+              footer skip drops; any other input is materialized once
+              and its blocks are the units
+    route     ``_decode_unit`` tasks decode each unit (decode + ledger
+              filter + LWW pre-reduce) and split its rows by bucket
+              range; each range's merge home merges its buckets with
+              ``BucketMerge`` (per-bucket merge + deterministic Parquet
+              write) — ``pipelines/streaming_apply.route``
     _commit   stats rows → manifest → put-if-absent manifest create
 
-The job picks the route from two facts: whether a ``StreamingSession``
-(a live shard pool) is open on it, and whether the commit's input is a
-file read (``_file_reads``: one ``read_parquet``, or a union of such
-reads, as a snapshot plus WAL or ON_STOP's segments are).  A file read
-committed by any entry point — ``run``, ``run_segments``,
-``run_from_paths``, ``run_source``, ``poll``, ``follow_apply`` — while
-a session is open takes the push route; every other commit (no session,
-or a generated, limited or materialized input) takes the sort route.
-Both routes write byte-identical bucket files, so they are
+There is one route and two merge homes.  With no session open, one plain
+Ray task per bucket range merges that range's slices and exits.  While a
+``StreamingSession`` is open on the job, every commit of every entry
+point — ``run``, ``run_segments``, ``run_from_paths``, ``run_source``,
+``poll``, ``follow_apply`` — hands its slices to the session's
+``MergeShard`` actors, which outlive the commit and keep the tables
+they wrote.  Both homes write byte-identical bucket files, so they are
 interchangeable on one lake, even within one session.
 """
 
@@ -55,19 +51,16 @@ import ray
 import ray.data
 
 from plugin_debezium_ray.config import CaptureConfig, OffsetCommitMode, SnapshotMode
-from plugin_debezium_ray.envelope import payload_fields_of
-from plugin_debezium_ray.stages.apply import (
-    APPLY_COLUMNS,
-    BUCKET_COL,
-    BucketMerge,
-    project_for_apply,
-)
+from plugin_debezium_ray.envelope import OP_DDL, payload_fields_of
+from plugin_debezium_ray.pipelines.streaming_apply import route
+from plugin_debezium_ray.stages.apply import APPLY_COLUMNS, project_for_apply
 from plugin_debezium_ray.stages.decode import EnvelopeDecoder
 from plugin_debezium_ray.state.checkpoint import (
     CheckpointManager, bucket_fingerprints_of, bucket_paths_of, build_manifest,
     ledger_of,
 )
 from plugin_debezium_ray.state.schema_registry import (
+    DDL_COLUMNS,
     SchemaRegistry,
     ddl_rows_from_parquet,
     registry_from_envelopes,
@@ -104,7 +97,7 @@ _SNAPSHOT_MODES = (
 
 @dataclass
 class _Prepared:
-    """One commit as ``ReplayJob._prepare`` set it up; the routes and
+    """One commit as ``ReplayJob._prepare`` set it up; ``route`` and
     ``_commit`` read only this."""
 
     cfg: CaptureConfig
@@ -116,19 +109,17 @@ class _Prepared:
     #: this attempt's data directory name, ``v{N:06d}-{8 hex}``
     commit_id: str
     reg: SchemaRegistry
-    #: the records to apply; None under NO_DATA (commit the schema only)
-    ds: "ray.data.Dataset | None"
+    #: the decode units, ``(ray_remote_args, ReadTask or block ref)``;
+    #: none under NO_DATA (commit the schema only)
+    units: list
     data_dir: str
     fingerprint_col: str | None
     metrics: dict
     #: events a separately committed snapshot phase consumed
     snapshot_seen: int = 0
-    #: ``{path: num_rows}`` of the input files whose footers prove the
-    #: ledger filter drops every data row (``ddl_rows_from_parquet``)
-    skipped: dict = field(default_factory=dict)
 
     def project(self):
-        """The ``map_batches`` fn: decode + ledger filter + pre-reduce."""
+        """The decode tasks' fn: decode + ledger filter + pre-reduce."""
         cfg = self.cfg
         return project_for_apply(
             cfg.key_cols,
@@ -152,31 +143,29 @@ class _Prepared:
         )
 
 
-def _sort_route(prep: _Prepared) -> tuple[list[dict], dict]:
-    """The sort route: ONE hash shuffle (groupby bucket), then
-    ``BucketMerge`` merges each bucket into its prior state.  The input
-    is narrowed to ``APPLY_COLUMNS`` block by block first: a union of
-    inputs with different columns (a pruned WAL read under a generated
-    snapshot) otherwise fails when ``map_batches`` joins their blocks
-    into one batch."""
-    from plugin_debezium_ray.smallfetch import fetch_small_rows
+#: the columns a materialized input keeps: what the decode tasks and the
+#: DDL scan read
+_KEPT_COLUMNS = (*APPLY_COLUMNS, "ddl")
 
-    cfg = prep.cfg
-    merge = BucketMerge(cfg.key_cols, **prep.merge_kw())
 
-    def merge_bucket(group: pa.Table) -> pa.Table:
-        return merge(group)
+def _narrow(t: pa.Table) -> pa.Table:
+    """A block's ``_KEPT_COLUMNS``, each block on its own: the blocks of
+    a union may carry different columns."""
+    return t.select([c for c in _KEPT_COLUMNS if c in t.column_names])
 
-    t0 = time.monotonic()
-    stats = (
-        prep.ds.select_columns(list(APPLY_COLUMNS)).map_batches(
-            prep.project(), batch_format="pyarrow", batch_size=cfg.batch_size
-        )
-        .groupby(BUCKET_COL)
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
-    rows = fetch_small_rows(stats)  # ≤ num_buckets tiny rows
-    return rows, {"apply_wall_seconds": round(time.monotonic() - t0, 3)}
+
+@ray.remote
+def _scan_block(t: pa.Table) -> tuple:
+    """A materialized block's schema, None when it holds no row (a row
+    filter can leave a block without columns), and its DDL rows
+    (``DDL_COLUMNS``; None when it has no ``ddl`` column)."""
+    import pyarrow.compute as pc
+
+    sch = t.schema if t.num_rows else None
+    if "ddl" not in t.column_names:
+        return sch, None
+    return sch, t.select(DDL_COLUMNS).filter(
+        pc.fill_null(pc.equal(t["op"], OP_DDL), False))
 
 
 class ReplayJob:
@@ -203,9 +192,9 @@ class ReplayJob:
             table_dir, needs_schema_history=needs_schema_history
         )
         self.fingerprint_col = fingerprint_col
-        #: ``route(prep) -> (stats_rows, route_metrics)``: the sort route,
-        #: or an open ``StreamingSession``'s push route
-        self._route = _sort_route
+        #: the open ``StreamingSession``, the merge home of every commit
+        #: while it is open; None: plain merge tasks
+        self._session = None
 
     @classmethod
     def for_task(
@@ -245,25 +234,27 @@ class ReplayJob:
         ddl_source: "bool | None" = None,
     ) -> ReplayResult:
         """One batch capture, the apply core behind every entry point:
-        restore state → schema replay → route → atomic commit, on the
-        job's current route.  Idempotent: rerunning with the same
-        envelopes applies zero events (the CaptureTest.java:97-99
-        contract).
+        restore state → schema replay → route → atomic commit, merged by
+        the open session's shards or by plain merge tasks.  Idempotent:
+        rerunning with the same envelopes applies zero events (the
+        CaptureTest.java:97-99 contract).
 
         The input decides where the commit's DDL events come from.  A
         ``read_parquet``, or a union of them, without a row ``filter=``
         has them planned from its own files' footers
         (``ddl_rows_from_parquet``), even when the reads prune the
-        ``ddl`` column; any other input is scanned for them if it has a
-        ``ddl`` column, and otherwise the registry carries forward.  ``ddl_source=False`` says the input
-        carries no DDL, which spares the scan of a generated plan."""
+        ``ddl`` column.  Any other file read is scanned for them if it
+        has a ``ddl`` column; any other input is materialized, and its
+        blocks are scanned.  Without DDL rows the registry carries
+        forward.  ``ddl_source=False`` says the input carries no DDL and
+        spares the scan."""
         if ddl_source is not None and ddl_source is not False:
             raise TypeError("ddl_source must be None or False")
         t0 = time.monotonic()
         prep = self._prepare(envelopes, snapshot, ddl_source)
         if isinstance(prep, ReplayResult):
             return prep  # the snapshot phase overran its budget
-        rows, metrics = self._route(prep) if prep.ds is not None else ([], {})
+        rows, metrics = route(prep, self._session)
         return self._commit(prep, rows, metrics, t0)
 
     def _prepare(
@@ -273,8 +264,10 @@ class ReplayJob:
         ddl_source: "bool | None",
     ) -> "_Prepared | ReplayResult":
         """Everything a commit decides before routing: restore the parent
-        commit, replay schema history into the registry (ST3), and apply
-        the ``max_records`` and ``snapshot_mode`` rules.
+        commit, apply the ``max_records`` and ``snapshot_mode`` rules,
+        replay schema history into the registry (ST3), and cut the input
+        into decode units.  ``registry_seconds`` times the last two, a
+        non-file input's materialize included.
 
         Under a ``max_snapshot_duration_seconds`` budget the snapshot
         phase first commits on its own; when it overruns the budget,
@@ -316,34 +309,54 @@ class ReplayJob:
 
         t_registry = time.monotonic()
         prior = (parent or {}).get("schema")
-        reads = _file_reads(envelopes)
-
-        def schema() -> "pa.Schema | None":
-            # a file read's schema is in its plan; any other plan must run
-            sch = (reads and reads[0].schema) or envelopes.schema()
-            return sch and pa.schema(zip(sch.names, sch.types))
-
-        base_fields = [] if prior else [
-            (f.name, str(f.type)) for f in payload_fields_of(schema())
-        ]
         ledger = ledger_of(parent)
         # every data row at or below the smallest mark of a ledger that
         # covers every bucket is one the ledger filter drops
         marks = [ledger.get(b) for b in range(cfg.num_buckets)]
         mark = min(marks) if None not in marks else None
+        reads = _file_reads(envelopes)
         ddl, skipped = None, {}
-        if ddl_source is None:
-            if reads and all(r.parquet for r in reads):
-                plans = [ddl_rows_from_parquet(*r.parquet, max_lsn=cfg.max_lsn,
-                                               mark=mark) for r in reads]
-                ddl = pa.concat_tables([p.ddl for p in plans],
-                                       promote_options="permissive")
-                # the rows of the row groups the footer planner read
-                metrics["registry_rows_read"] = ddl.num_rows
-                for p in plans:
-                    skipped.update(p.skipped)
-            elif (sch := schema()) is not None and "ddl" in sch.names:
-                ddl = envelopes
+        if ddl_source is None and reads and all(r.parquet for r in reads):
+            plans = [ddl_rows_from_parquet(*r.parquet, max_lsn=cfg.max_lsn,
+                                           mark=mark) for r in reads]
+            ddl = pa.concat_tables([p.ddl for p in plans],
+                                   promote_options="permissive")
+            # the rows of the row groups the footer planner read
+            metrics["registry_rows_read"] = ddl.num_rows
+            for p in plans:
+                skipped.update(p.skipped)
+
+        ds = envelopes
+        if mode != SnapshotMode.NO_DATA:
+            if cfg.max_records is not None:
+                # soft record bound — post-snapshot only, like
+                # AbstractDebeziumTask.java:617-621 (snapshot joins below it)
+                ds = ds.limit(cfg.max_records)
+            if snapshot is not None:
+                ds = snapshot if mode == SnapshotMode.INITIAL_ONLY else snapshot.union(ds)
+        ds_reads = reads if ds is envelopes else _file_reads(ds)
+        if ds_reads is not None:
+            units = _read_units(ds_reads, skipped, metrics)
+            sch = (reads or ds_reads)[0].schema
+            if ddl is None and ddl_source is None and reads and "ddl" in sch.names:
+                ddl = envelopes  # a filtered read: the scan rule
+        else:
+            # one run of the input's plan: its blocks are the units, and
+            # its schema and DDL rows are read from them
+            blocks = ds.map_batches(_narrow, batch_format="pyarrow",
+                                    batch_size=None).materialize().to_arrow_refs()
+            scans = ray.get([_scan_block.remote(b) for b in blocks])
+            units = [({}, b) for b, (sch, _) in zip(blocks, scans) if sch]
+            metrics.update(files_skipped=0, rows_skipped=0)
+            sch = (reads[0].schema if reads
+                   else next((sch for sch, _ in scans if sch), None))
+            found = [t for _, t in scans if t is not None]
+            if ddl is None and ddl_source is None and found:
+                ddl = pa.concat_tables(found, promote_options="permissive")
+        base_fields = [] if prior or sch is None else [
+            (f.name, str(f.type))
+            for f in payload_fields_of(pa.schema(zip(sch.names, sch.types)))
+        ]
         if ddl is None:
             reg = (SchemaRegistry.from_snapshot(prior) if prior
                    else SchemaRegistry(base_fields))
@@ -352,16 +365,6 @@ class ReplayJob:
                 ddl, base_fields, prior_snapshot=prior, max_lsn=cfg.max_lsn
             )
         metrics["registry_seconds"] = round(time.monotonic() - t_registry, 3)
-
-        ds = envelopes
-        if cfg.max_records is not None:
-            # soft record bound — post-snapshot only, like
-            # AbstractDebeziumTask.java:617-621 (snapshot joins below it)
-            ds = ds.limit(cfg.max_records)
-        if snapshot is not None:
-            ds = snapshot if mode == SnapshotMode.INITIAL_ONLY else snapshot.union(ds)
-        if mode == SnapshotMode.NO_DATA:
-            ds = None  # schema-only: commit the registry snapshot, apply nothing
         version = int(parent["version"]) + 1 if parent else 1
         return _Prepared(
             cfg=cfg,
@@ -372,12 +375,12 @@ class ReplayJob:
             version=version,
             commit_id=f"v{version:06d}-{secrets.token_hex(4)}",
             reg=reg,
-            ds=ds,
+            # schema-only: commit the registry snapshot, apply nothing
+            units=[] if mode == SnapshotMode.NO_DATA else units,
             data_dir=os.path.join(self.table_dir, "data"),
             fingerprint_col=self.fingerprint_col,
             metrics=metrics,
             snapshot_seen=snapshot_seen,
-            skipped=skipped,
         )
 
     def _commit(
@@ -484,9 +487,10 @@ class ReplayJob:
 
     def streaming_session(self, *, num_shards: int | None = None) -> "object":
         """Open the job's shard pool (``num_shards`` MergeShard actors):
-        until it is closed, every commit of this job takes the push
-        route.  ``close()``/context manager tears the pool down — the
-        engine handle a continuous ingester holds for its lifetime.  See
+        until it is closed, every commit of this job merges on its
+        shards instead of plain merge tasks.  ``close()``/context manager
+        tears the pool down — the engine handle a continuous ingester
+        holds for its lifetime.  See
         ``pipelines/streaming_apply.StreamingSession``."""
         from plugin_debezium_ray.pipelines.streaming_apply import (
             StreamingSession,
@@ -709,7 +713,7 @@ class ReplayJob:
         ``max_wait`` after the previous batch finished committing).
 
         The follower holds ONE shard pool (``StreamingSession``) for its
-        whole lifetime, so every commit takes the push route without
+        whole lifetime, so every commit merges on its shards without
         paying actor startup per arrival batch; each commit is a
         ``run_from_paths`` over the new segments (DDL they carry evolves
         the schema).
@@ -917,19 +921,19 @@ class _FileRead(NamedTuple):
     ray_remote_args: dict
     parquet: "tuple | None"
     #: the read's row schema, from its plan (no Ray Data run)
-    schema: "pa.Schema | None"
+    schema: pa.Schema
 
 
 def _file_reads(ds: "ray.data.Dataset") -> "list[_FileRead] | None":
     """The reads ``ds`` is made of, in plan order, when its logical plan
     is one ``Read`` op or a nested ``Union`` of them (ON_STOP's
     ``Union(Union(R1, R2), R3)``, a snapshot read joined to a WAL read),
-    each over known input files; ``None`` for any other plan.  The
-    engine's only use of Ray Data's private plan API: the push route runs
-    the reads' own tasks, and ``_prepare`` plans parquet reads' DDL from
-    their files.  A Ray upgrade that moves the plan fails
-    ``tests/test_streaming_apply.py::TestDecodeUnits`` instead of
-    silently sending file reads to the sort route."""
+    each over known input files with a schema its plan knows; ``None``
+    for any other plan.  The engine's only use of Ray Data's private plan
+    API: the decode tasks run the reads' own tasks, and ``_prepare`` plans
+    parquet reads' DDL from their files.  A Ray upgrade that moves the
+    plan fails ``tests/test_streaming_apply.py::TestDecodeUnits`` instead
+    of silently materializing every file read."""
     from ray.data._internal.datasource.parquet_datasource import (
         ParquetDatasource,
     )
@@ -942,12 +946,31 @@ def _file_reads(ds: "ray.data.Dataset") -> "list[_FileRead] | None":
         if isinstance(op, Union):
             ops.extend(reversed(op.input_dependencies))
             continue
-        if not isinstance(op, Read) or not (files := op.infer_metadata().input_files):
+        if (not isinstance(op, Read) or not (files := op.infer_metadata().input_files)
+                or (schema := op.infer_schema()) is None):
             return None
         src = op._datasource_or_legacy_reader
         planned = (isinstance(src, ParquetDatasource)
                    and src._to_batches_kwargs.get("filter") is None)
         reads.append(_FileRead(src, files, dict(op._ray_remote_args or {}),
                                (src._filesystem, src._pq_paths) if planned else None,
-                               op.infer_schema()))
+                               schema))
     return reads
+
+
+def _read_units(reads: list, skipped: dict, metrics: dict) -> list:
+    """The decode units of file reads: each read's read tasks, one per
+    file, read after read, less every task whose input files are all in
+    ``skipped`` (the footer skip); the files and rows it drops are
+    counted into ``metrics``."""
+    units, files_skipped, rows_skipped = [], 0, 0
+    for read in reads:
+        for task in read.datasource.get_read_tasks(len(read.files)):
+            files = task.metadata.input_files
+            if files and all(f in skipped for f in files):
+                files_skipped += len(files)
+                rows_skipped += sum(skipped[f] for f in files)
+            else:
+                units.append((read.ray_remote_args, task))
+    metrics.update(files_skipped=files_skipped, rows_skipped=rows_skipped)
+    return units

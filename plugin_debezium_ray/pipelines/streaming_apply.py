@@ -1,88 +1,55 @@
-"""Streaming actor-pool apply — the push route of the apply core.
+"""The apply route: decode tasks, then one merge home per bucket range.
 
 Every commit runs ``ReplayJob.run``: prepare → route → commit
-(``pipelines/replay.py``).  The sort route sends events to buckets with
-ONE sort-based ``groupby`` — correct and spill-friendly, but the sort is
-a barrier: no merge work starts until every decode task finishes, and
-utilization dips at every commit boundary.
+(``pipelines/replay.py``).  ``_prepare`` cuts the input into decode
+units: a file read's own ``ReadTask`` objects, or the blocks of any
+other input, materialized once.  ``route`` runs one plain Ray task per
+unit (``_decode_unit``: decode, ledger filter, LWW pre-reduce), with at
+most the cluster's CPU count in flight and no Ray Data execution.  A
+task splits its kept rows by the contiguous bucket range that owns them
+(``_shard_table``) and returns one slice per range.  Each range has a
+merge home that calls ``BucketMerge`` once over all of its slices:
 
-This module is the other route, the architecture SURVEY.md §7.1 sketches
-directly: a pool of ``MergeShard`` **actors**, each owning a contiguous
-bucket range.  Decode tasks pre-reduce their rows and split them by
-owning shard; as each task finishes, the driver hands every shard its
-slice — no all-to-all barrier, no sort.  Correctness rests on LWW being
-order-independent: the winner per key is the max ``(lsn, seq)`` event,
-so shards may receive slices in any order, from any segment (events
-at-or-below the ledger are dropped at finalize).  Exactly-once counting
-under Ray task retries comes from a single sender, as Delta Lake gets
-idempotent commits from a single committer: a decode task is pure — it
-returns its slices and touches no actor — and only the driver sends rows
-to the shards, once per unit, from the task's final attempt.  A retried
-task is invisible, while rows that really repeat in the input (a file
-listed twice, a self-union) are separate units and count each time, as
-the sort route counts them.  Shards compact incrementally
-(winner-reduce their accumulated slices) whenever buffered rows exceed
-a threshold, so steady-state memory per shard is O(its share of live
-keys), not O(its share of the stream).
+- no session open: one plain merge task per range (``_merge_range``),
+  which takes the range's slice refs and exits with the commit;
+- a ``StreamingSession`` open on the job: the range's ``MergeShard``
+  actor, which ingests each slice as its task finishes, finalizes at the
+  commit, and outlives it with the tables it wrote (``held``).
 
-The decode tasks are plain Ray tasks over the input's own ``ReadTask``
-objects, not a Ray Data execution: a tail commit of a few hundred rows
-otherwise pays more for the streaming executor than for the work.  The
-route takes only file reads (``_file_reads``): one ``read_parquet(paths,
-columns=APPLY_COLUMNS)`` — one read task per file, with its column
-pruning, filters, partitioning and ``ray_remote_args`` — or a union of
-them, whose units are each read's tasks in turn.  Any other input (a
-generated source, ``limit``, a materialized Dataset) commits on the
-sort route inside the session; the shards' held tables then trust only
-the buckets that commit left on their paths.
+That is the only difference, so both homes write byte-identical bucket
+files, fingerprints and manifests, and are interchangeable on one lake.
 
-A restart costs its footers, not its log.  When the ledger has a mark
-for every bucket, the commit's footer pass (``ddl_rows_from_parquet``,
-the one that plans its DDL) also lists the files whose every row group
-proves each row's ``(lsn, seq)`` is at or below the smallest mark — rows
-the ledger filter would drop — and the route drops their read tasks, as
-Delta Lake skips files by their min/max statistics.  The bucket→shard
-table is fixed when the session opens, so a unit is split before any
-shard exists, and the pool starts when the first task returns a kept
-row.  A restarted follower whose input the ledger covers starts no
-shard.  Every push manifest records ``decode_tasks`` (the units that
-ran), ``files_skipped``, ``rows_skipped`` (from the footers'
-``num_rows``) and ``num_shards`` (0 while no pool has started).
+Correctness rests on LWW being order-independent: the winner per key is
+the max ``(lsn, seq)`` event, so slices may arrive in any order (events
+at-or-below the ledger are dropped again at the merge).  Exactly-once
+counting under Ray task retries comes from a single sender, as Delta
+Lake gets idempotent commits from a single committer: a decode task is
+pure, and only the driver hands its slices on, once per unit, from its
+final attempt.  Rows that really repeat in the input (a file listed
+twice, a self-union) are separate units and count each time.  A shard
+winner-reduces its buffer past ``COMPACT_ROWS`` rows.
 
-Finalize hands each shard's drained rows to ONE ``BucketMerge`` call
-per commit (the sort route calls the same kernel once per bucket) —
-identical deterministic bucket files, fingerprints and manifest as the
-sort path, so resume / rerun / read_table are interchangeable between
-the two paths.  The restore, schema replay, stop and snapshot rules and
-the manifest commit around the route are the shared ``_prepare`` /
-``_commit``.
+A restart costs its footers, not its log: when the ledger has a mark for
+every bucket, ``_prepare`` drops the read tasks of the files whose
+footers prove every row is at or below the smallest mark, as Delta Lake
+skips files by their min/max statistics.  A session's bucket→shard table
+is fixed when it opens, and its pool starts at the first kept row, so a
+restarted follower whose input the ledger covers starts no shard.
 
-A shard keeps state across commits: the ``{bucket: (path, table)}`` of
-the bucket files its last writing finalize wrote.  At the next finalize
-a bucket whose manifest path is still the held path merges over the held
-table instead of reading the file (the path is still ``os.stat``-ed, so
-a missing committed file raises as on the sort route).  Bucket files are
-immutable and each commit attempt writes under its own
-``data/v{N}-{hex}/``, so the held table is the file's content; any other
-path — a lost ``CommitConflict``, another writer's commit, a failed
-finalize, a fresh pool — is read from disk.  A finalize that writes
-replaces what is held with the tables it wrote: about the prior tables
-the merge held at once anyway; a shard that got no rows keeps what it
-holds.  Each manifest counts the disk reads as ``prior_files_read``.
+A shard's held ``{bucket: (path, table)}`` stands in for a bucket's file
+at the next finalize while the manifest still pins that path (the path
+is still ``os.stat``-ed).  Bucket files are immutable and each attempt
+writes under its own ``data/v{N}-{hex}/``, so any other path — a lost
+``CommitConflict``, another writer's commit, a failed finalize, a fresh
+pool — is read from disk, and counted in ``prior_files_read``.
 
-``StreamingSession`` owns one pool across commits.  While it is open,
-its job routes every file-read commit here (``run``, ``run_segments``,
-``run_from_paths``, ``poll``; ``follow_apply`` holds one for its whole
-lifetime); a one-shot push is ``with job.streaming_session():
-job.run(ds)``.  The pool serves one lake: multi-table capture
-(``pipelines/multi_table.py``) runs each stream through the core on its
-own.
-
-At cluster scale each shard is one actor (pin ``num_shards`` ≈ total
-cores; Ray spreads them across nodes); a task's slices go from its
-return objects to the actors without passing through the driver, and
-the driver keeps at most the cluster's CPU count of decode tasks in
-flight.
+Every manifest records ``registry_seconds``, ``decode_seconds``,
+``finalize_seconds``, ``decode_tasks``, ``files_skipped`` and
+``rows_skipped``; a session commit adds ``streaming_apply``,
+``streaming_session_commit`` and ``num_shards`` (0 while no pool has
+started).  At cluster scale each shard is one actor (pin ``num_shards``
+≈ total cores; Ray spreads them across nodes), and a task's slices go
+from its return objects to a merge home without passing the driver.
 """
 
 from __future__ import annotations
@@ -98,7 +65,6 @@ import pyarrow.compute as pc
 import ray
 
 from plugin_debezium_ray.config import CaptureConfig
-from plugin_debezium_ray.pipelines.replay import _file_reads, _sort_route
 from plugin_debezium_ray.stages.apply import (
     BUCKET_COL,
     WEIGHT_COL,
@@ -121,8 +87,8 @@ def _split(out: pa.Table, shard_of: np.ndarray, n_shards: int) -> list[pa.Table]
 def make_decode_push(proj, shards, shard_of: np.ndarray):
     """A ``map_batches`` body that projects a batch, splits it by owning
     shard and pushes each slice, returning once every push is owned.
-    The push route does not use it (its tasks return their slices to
-    the driver, ``_decode_unit``); ``cdcbench/staged.py`` times it."""
+    The route does not use it (its tasks return their slices to the
+    driver, ``_decode_unit``); ``cdcbench/staged.py`` times it."""
 
     def decode_and_push(t: pa.Table) -> pa.Table:
         out = proj(t)
@@ -138,15 +104,16 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
 @ray.remote
 def _decode_unit(proj, shard_of: np.ndarray, n_shards: int, task,
                  batch_size: int) -> list:
-    """One decode task, pure: the rows of the ``ReadTask`` ``task``
-    through the projection ``proj`` ``batch_size`` rows at a time, split
-    by owning shard.  Returns ``n_shards + 1`` objects (submit with
-    ``num_returns``): the per-shard kept-row counts, then one slice per
-    shard (None when the unit kept no row)."""
+    """One decode task, pure: the rows of the unit ``task`` — a
+    ``ReadTask`` or one materialized block — through the projection
+    ``proj`` ``batch_size`` rows at a time, split by owning shard.
+    Returns ``n_shards + 1`` objects (submit with ``num_returns``): the
+    per-shard kept-row counts, then one slice per shard (None when the
+    unit kept no row)."""
     from ray.data.block import BlockAccessor
 
     outs = []
-    for block in task():
+    for block in task() if callable(task) else [task]:
         t = BlockAccessor.for_block(block).to_arrow()
         for lo in range(0, t.num_rows, batch_size):
             out = proj(t.slice(lo, batch_size))
@@ -168,10 +135,10 @@ class MergeShard:
     """Owns buckets ``[lo, hi)``: accumulates pre-reduced event slices,
     compacts with the LWW winner reduction when buffered rows grow, and
     at finalize merges all its buckets with their prior lake state in
-    one call of the ``BucketMerge`` kernel the sort path uses per
-    bucket.  Across commits it holds the tables its last writing
-    finalize wrote (``held``); a bucket whose manifest path is still
-    held is not read back from disk at the next finalize."""
+    one call of the ``BucketMerge`` kernel, as a plain merge task does.
+    Across commits it holds the tables its last writing finalize wrote
+    (``held``); a bucket whose manifest path is still held is not read
+    back from disk at the next finalize."""
 
     def __init__(self, key_cols: tuple[str, ...], lo: int, hi: int,
                  compact_rows: int = COMPACT_ROWS):
@@ -187,12 +154,11 @@ class MergeShard:
 
     def ingest(self, t: pa.Table) -> None:
         """Accept one pre-reduced slice (``project_for_apply`` output, so
-        it carries ``_weight``).  On the push route only the driver calls
-        it, once per decode unit, with the slice the unit's final attempt
+        it carries ``_weight``).  The route has only the driver call it,
+        once per decode unit, with the slice the unit's final attempt
         returned: a Ray retry of a decode task cannot count an event
         twice (SURVEY.md §7.4 #1), while rows that really repeat in the
-        input are separate units and count each time, as on the sort
-        route."""
+        input are separate units and count each time."""
         self.pushes += 1
         self.tables.append(t)
         self.buffered += len(t)
@@ -246,38 +212,21 @@ class MergeShard:
         apply them."""
         self._drain()
 
-    def finalize(
-        self,
-        out_dir: str,
-        commit_id: str,
-        *,
-        prior_paths: dict[int, str],
-        prior_fingerprints: dict[int, str],
-        ledger: dict[int, tuple[int, int]],
-        fingerprint_col: str | None,
-        renames: dict[str, str] | None = None,
-    ) -> list[dict]:
+    def finalize(self, out_dir: str, commit_id: str, **merge_kw) -> list[dict]:
         """Merge the owned buckets with their prior state in ONE
-        ``BucketMerge`` call, write the bucket files, return the stats
-        rows (same schema as the sort path).  The tables written replace
-        ``held``: a bucket whose manifest path is still one of them merges
-        over it instead of reading its file.  A shard that got no rows
-        writes nothing and keeps what it holds."""
+        ``BucketMerge`` call (``merge_kw``: its keyword arguments but
+        ``held``), write the bucket files, return the stats rows (as
+        ``_merge_range`` does).  The tables written replace ``held``: a
+        bucket whose manifest path is still one of them merges over it
+        instead of reading its file.  A shard that got no rows writes
+        nothing and keeps what it holds."""
         merged = self._drain()
         if merged is None:
             return []
         # a finalize that fails leaves nothing held
         held, self.held = self.held, {}
         stats, self.held = BucketMerge(
-            self.key_cols,
-            out_dir=out_dir,
-            commit_id=commit_id,
-            prior_paths=prior_paths,
-            prior_fingerprints=prior_fingerprints,
-            ledger=ledger,
-            fingerprint_col=fingerprint_col,
-            renames=renames,
-            held=held,
+            self.key_cols, out_dir, commit_id, held=held, **merge_kw
         ).merge(merged)
         return stats.to_pylist()
 
@@ -313,39 +262,143 @@ def _make_shard_pool(cfg: CaptureConfig, shard_of: np.ndarray,
     ]
 
 
+@ray.remote
+def _merge_range(key_cols: tuple, merge_kw: dict, *parts: pa.Table) -> list[dict]:
+    """One bucket range's merge home when no session is open: its slices
+    from every decode unit, merged in ONE ``BucketMerge`` call; returns
+    the stats rows.  Memory bound: a range's decoded slices stay in the
+    object store until this task merges them, as a hash shuffle's
+    blocks would, and Ray spills either past the store's capacity.  A
+    slice holds at most one row per key of its unit (pre-reduced)."""
+    return BucketMerge(key_cols, **merge_kw)(
+        pa.concat_tables(parts, promote_options="default")).to_pylist()
+
+
+def _cpus() -> int:
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+class _MergeTasks:
+    """The merge homes of a commit with no session open: each bucket
+    range's slice refs, merged by one ``_merge_range`` task."""
+
+    def __init__(self, cfg: CaptureConfig):
+        self._window = _cpus()
+        self.shard_of = _shard_table(cfg, None, self._window)
+        self._key_cols = cfg.key_cols
+        self._parts: list[list] = [[] for _ in range(int(self.shard_of[-1]) + 1)]
+
+    def _take(self, counts: list, slices: list) -> list:
+        for part, n, ref in zip(self._parts, counts, slices):
+            if n:
+                part.append(ref)
+        return []
+
+    def _merge(self, merge_kw: dict) -> list[list[dict]]:
+        return ray.get([_merge_range.remote(self._key_cols, merge_kw, *refs)
+                        for refs in self._parts if refs])
+
+    def _discard(self) -> None:
+        self._parts = []
+
+
+def route(prep, session: "StreamingSession | None" = None
+          ) -> tuple[list[dict], dict]:
+    """The apply route of every commit: decode ``prep.units``, then merge
+    each bucket range in its home, the open ``session``'s shards or
+    plain merge tasks; returns the stats rows and phase metrics.  A
+    commit that keeps no row merges nothing and waits on no home."""
+    home = session or _MergeTasks(prep.cfg)
+    t_decode = time.monotonic()
+    kept = _decode(prep, home)
+    t_final = time.monotonic()
+    stats = home._merge(prep.merge_kw()) if kept else []
+    metrics = {
+        "decode_seconds": round(t_final - t_decode, 4),
+        "finalize_seconds": round(time.monotonic() - t_final, 4) if kept else 0,
+        "decode_tasks": len(prep.units),
+    }
+    if session is not None:
+        session.commits += 1
+        metrics.update(streaming_apply=True,
+                       streaming_session_commit=session.commits,
+                       num_shards=len(session._shards or ()))
+        if kept:
+            metrics["shard_nodes"] = session.shard_nodes
+    return [r for rows in stats for r in rows], metrics
+
+
+def _decode(prep, home) -> int:
+    """Run one ``_decode_unit`` task per ``(ray_remote_args, unit)`` of
+    ``prep.units``, at most ``home._window`` in flight, with the commit's
+    projection shipped once, and hand each finished task's non-empty
+    slices to ``home._take``; returns the rows kept, once the home owns
+    every slice.  On the first failed task or ingest the driver submits
+    nothing more, waits out what is in flight, has the home ``_discard``
+    this commit's rows, and raises: a session's next commit applies none
+    of them."""
+    proj = ray.put(prep.project())
+    shard_of = home.shard_of
+    n_shards = int(shard_of[-1]) + 1
+    todo = list(reversed(prep.units))
+    # in flight: a decode task's counts ref -> its slice refs, and
+    # an ingest's ref -> None
+    pending: dict = {}
+    decoding = rows = 0
+    try:
+        while todo or pending:
+            if todo and decoding < home._window:
+                args, unit = todo.pop()
+                counts, *slices = _decode_unit.options(
+                    num_returns=n_shards + 1, **args
+                ).remote(proj, shard_of, n_shards, unit, prep.cfg.batch_size)
+                pending[counts] = slices
+                decoding += 1
+                continue
+            [done], _ = ray.wait(list(pending))
+            slices = pending.pop(done)
+            counts = ray.get(done)
+            if slices is None:
+                continue
+            decoding -= 1
+            if any(counts):
+                pending.update(dict.fromkeys(home._take(counts, slices)))
+                rows += sum(counts)
+    except Exception:
+        if pending:
+            ray.wait(list(pending), num_returns=len(pending))
+        home._discard()
+        raise
+    return rows
+
+
 class StreamingSession:
-    """The job's live shard pool: ONE long-lived pool of MergeShard
-    actors.  While the session is open, every file-read commit of its
-    job takes the push route (``_push``), one atomic manifest commit
-    each — the engine a continuous ingester (``ReplayJob.follow_apply``)
-    keeps open for its whole lifetime instead of paying shard-actor
-    startup per arrival batch.  A job has at most one open session.
+    """The job's live shard pool: the merge home of every commit of its
+    job while it is open, kept by a continuous ingester
+    (``ReplayJob.follow_apply``) for its whole lifetime so that it pays
+    shard-actor startup once.  A job has at most one open session.
 
     The bucket→shard table (``shard_of``) is fixed when the session
-    opens; the pool starts when a commit's first decode task returns a
-    kept row (``shards`` starts it on first access).  A restarted
-    follower whose input the ledger already covers starts no shard, and
-    ``close()`` then has nothing to wait for.  The pool survives across
-    commits (the multi-commit soak surface): the shard counters reset at
-    each commit boundary, incremental compaction keeps running, and each
-    ``finalize`` drains the buffered rows into that commit.  State after
-    N commits is identical to the sort route's — same lake bytes, same
-    manifest-chain semantics.  Use as a context manager (``close()``
-    kills the shard actors and hands the job back to the sort route)."""
+    opens; ``shards`` starts the pool on first access, at a commit's
+    first kept row.  Across commits the shard counters reset, compaction
+    keeps running and each ``finalize`` drains its commit's rows; the
+    lake after N commits is byte-identical to N sessionless commits'.
+    ``close()`` kills the shards and hands the job back to plain merge
+    tasks."""
 
     def __init__(self, job, *, num_shards: int | None = None):
-        if job._route is not _sort_route:
+        if job._session is not None:
             raise RuntimeError("a StreamingSession is already open on this job")
         self.job = job
         #: decode tasks the driver keeps in flight
-        self._window = max(1, int(ray.cluster_resources().get("CPU", 1)))
+        self._window = _cpus()
         #: bucket → index into ``shards``
         self.shard_of = _shard_table(job.cfg, num_shards, self._window)
         #: the pool, once started
         self._shards: list | None = None
         self.commits = 0
         self._closed = False
-        job._route = self._push
+        job._session = self
 
     @property
     def shards(self) -> list:
@@ -374,114 +427,27 @@ class StreamingSession:
             raise RuntimeError("StreamingSession is closed")
         return self.job.run(seg)
 
-    def _push(self, prep) -> tuple[list[dict], dict]:
-        """The push route for a file-read input: decode tasks split its
-        rows by shard, the driver ingests each task's slices, then every
-        shard finalizes its buckets.  Any other input commits on
-        ``_sort_route``.  Units are each read's read tasks, one per file,
-        read after read (``_file_reads``), less every task whose input
-        files the ledger covers (``prep.skipped``); ``_decode`` runs
-        them."""
-        reads = _file_reads(prep.ds)
-        if reads is None:
-            return _sort_route(prep)
-        self.commits += 1
-        t_decode = time.monotonic()
-        units, files_skipped, rows_skipped = [], 0, 0
-        for read in reads:
-            for task in read.datasource.get_read_tasks(len(read.files)):
-                files = task.metadata.input_files
-                if files and all(f in prep.skipped for f in files):
-                    files_skipped += len(files)
-                    rows_skipped += sum(prep.skipped[f] for f in files)
-                else:
-                    units.append((read, task))
-        pushed = self._decode(prep, units)
-        t_final = time.monotonic()
-        metrics = {
-            # phase latencies (per-commit lineage): decode+ingest vs
-            # shard finalize — small jobs are finalize/startup-bound,
-            # large jobs decode-bound
-            "decode_seconds": round(t_final - t_decode, 4),
-            "finalize_seconds": 0,
-            "decode_tasks": len(units),
-            "files_skipped": files_skipped,
-            "rows_skipped": rows_skipped,
-            "streaming_apply": True,
-            "streaming_session_commit": self.commits,
-            "num_shards": len(self._shards or ()),
-        }
-        if not pushed:
-            # nothing pushed (e.g. the ledger dropped every row), so
-            # there is nothing to merge and no reason to wait on the
-            # pool: the ledger advances only in commits that finalize,
-            # and a finalize drains everything buffered
-            return [], metrics
-        merge_kw = prep.merge_kw()
-        stats = ray.get([s.finalize.remote(**merge_kw) for s in self._shards])
-        metrics["finalize_seconds"] = round(time.monotonic() - t_final, 4)
-        metrics["shard_nodes"] = self.shard_nodes
-        return [r for rows in stats for r in rows], metrics
+    # the merge home ``route`` hands slices to (as ``_MergeTasks``)
 
-    def _decode(self, prep, units: list) -> int:
-        """Run one ``_decode_unit`` task per ``(read, task)`` unit, with
-        its read's ``ray_remote_args`` and the commit's projection
-        (shipped once with ``ray.put``), and ingest each finished task's
-        non-empty slices into their shards, starting the pool at the
-        first kept row.  Returns the rows ingested, once every ingest is
-        owned.
+    def _take(self, counts: list, slices: list) -> list:
+        """Ingest a unit's non-empty slices into their shards, starting
+        the pool at the first kept row; returns the ingest refs."""
+        return [shard.ingest.remote(part) for shard, n, part
+                in zip(self.shards, counts, slices) if n]
 
-        - Window: at most the cluster's CPU count of decode tasks in
-          flight; the driver submits the next unit as one finishes.
-        - Exactly once: only the driver ingests, once per unit, from the
-          task's final attempt, so a Ray retry of a task sends nothing.
-        - Error path: on the first failed task or ingest the driver
-          submits nothing more, waits out the tasks and ingests in
-          flight, has a started pool ``discard`` what this commit
-          ingested, and raises: nothing of the failed commit lands after
-          this returns, and the next commit applies none of it."""
-        proj = ray.put(prep.project())
-        n_shards = int(self.shard_of[-1]) + 1
-        todo = list(reversed(units))
-        # in flight: a decode task's counts ref -> its slice refs, and
-        # an ingest's ref -> None
-        pending: dict = {}
-        decoding = rows = 0
-        try:
-            while todo or pending:
-                if todo and decoding < self._window:
-                    read, task = todo.pop()
-                    counts, *slices = _decode_unit.options(
-                        num_returns=n_shards + 1, **read.ray_remote_args
-                    ).remote(proj, self.shard_of, n_shards, task,
-                             prep.cfg.batch_size)
-                    pending[counts] = slices
-                    decoding += 1
-                    continue
-                [done], _ = ray.wait(list(pending))
-                slices = pending.pop(done)
-                counts = ray.get(done)
-                if slices is None:
-                    continue
-                decoding -= 1
-                if any(counts):
-                    for shard, n, part in zip(self.shards, counts, slices):
-                        if n:
-                            pending[shard.ingest.remote(part)] = None
-                    rows += sum(counts)
-        except Exception:
-            if pending:
-                ray.wait(list(pending), num_returns=len(pending))
-            if self._shards is not None:
-                drops = [s.discard.remote() for s in self._shards]
-                ray.wait(drops, num_returns=len(drops))
-            raise
-        return rows
+    def _merge(self, merge_kw: dict) -> list[list[dict]]:
+        return ray.get([s.finalize.remote(**merge_kw) for s in self._shards])
+
+    def _discard(self) -> None:
+        """A started pool drops what the failed commit ingested."""
+        if self._shards is not None:
+            drops = [s.discard.remote() for s in self._shards]
+            ray.wait(drops, num_returns=len(drops))
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self.job._route = _sort_route
+            self.job._session = None
             if self._shards is None:
                 return
             # wait for shards still starting (a session whose commits

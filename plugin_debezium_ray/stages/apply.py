@@ -4,17 +4,18 @@ The reference gets ordering/idempotence from a single consumer thread +
 offset restore (`ChangeConsumer.java:70-95`, `AbstractDebeziumTask.java:640-693`).
 We shard it: ordering is only required per primary key, so
 
-  1. ``project_for_apply`` (map_batches, Arrow): envelope → narrow apply
-     rows (bucket, key, lsn, seq, deleted, payload) — drops DDL/tombstones.
+  1. ``project_for_apply`` (a decode task's fn, Arrow): envelope → narrow
+     apply rows (bucket, key, lsn, seq, deleted, payload) — drops
+     DDL/tombstones.
   2. **per-batch pre-reduce**: within each batch keep only the winning
      (max (lsn, seq)) event per key.  LWW is a semigroup, so this partial
-     reduce is lossless and shrinks the ONE hash shuffle that follows.
-  3. ``BucketMerge`` over one or more buckets — the sort route's
-     ``groupby("_bucket").map_groups`` passes one bucket per call, a
-     push-route shard all of its buckets at once: ledger-filter
-     already-applied events, final LWW dedup, merge each bucket with its
-     prior Parquet state, write a deterministic new bucket file per
-     bucket, return one stats/lineage row per bucket (ST6 metrics).
+     reduce is lossless and shrinks the slices a decode task returns.
+  3. ``BucketMerge`` over a bucket range — one call per range and
+     commit, in a plain merge task or a session's ``MergeShard``:
+     ledger-filter already-applied events, final LWW dedup, merge each
+     bucket with its prior Parquet state, write a deterministic new
+     bucket file per bucket, return one stats/lineage row per bucket
+     (ST6 metrics).
 
 Exactly-once under retries (SURVEY.md §7.4 #1): events ≤ ledger are
 skipped (idempotent replay) and bucket files have deterministic names
@@ -301,10 +302,10 @@ def _xor_fold(lanes: np.ndarray, counts: np.ndarray) -> list[int]:
 
 
 class BucketMerge:
-    """``map_groups`` callable: merge the winning events of one or more
-    buckets into each bucket's prior lake state and write the new bucket
-    files.  The sort route hands it one bucket per call; a ``MergeShard``
-    hands it every bucket it drained, once per commit.  Ledger check, LWW,
+    """Merge the winning events of one or more buckets into each bucket's
+    prior lake state and write the new bucket files.  A merge task hands
+    it every bucket of its range, and a ``MergeShard`` every bucket it
+    drained, once per commit.  Ledger check, LWW,
     per-bucket counters, the prior-key ``isin`` and the fingerprint hashes
     run once over all rows; only the per-file work (read the prior file,
     concatenate, sort, write) runs per bucket, so a file's bytes do not
@@ -321,7 +322,8 @@ class BucketMerge:
     pins that path, the held table is the bucket's prior state and its
     file is not read: bucket files are immutable and each attempt's path
     is unique (``data/v{N}-{hex}/``), so the held table is the file's
-    content.  The sort route holds nothing and reads every prior file.
+    content.  A plain merge task holds nothing and reads every prior
+    file.
 
     The Ray-native analogue of the reference's single-writer sink + offset
     store: state lives in Parquet keyed by deterministic bucket file names;

@@ -12,7 +12,7 @@ column is not all null are read, which plays the part of the reference's
 small schema-history file.  Any other input is scanned for them
 (``registry_from_envelopes``).  The same footer pass lists the files
 whose ``lsn``/``seq`` statistics put every row at or below a ledger mark,
-which the push route then does not read.
+which the commit then does not read.
 
 DDL payloads (JSON in the envelope's ``ddl`` column, op='ddl'):
   {"action": "add_column", "name": ..., "type": "<arrow alias>", "default": ...}

@@ -28,21 +28,21 @@ def ray_session():
 
 def pushed(job, call, *args, **kw):
     """``call(*args, **kw)`` — a bound method of ``job`` — with a shard
-    pool open on ``job``; every commit it returns must have taken the
-    push route, so a test that feeds it a non-file-read input fails
-    instead of quietly testing the sort route."""
+    pool open on ``job``; every commit it returns must have merged on
+    the session's shards, so a test whose commit misses the session
+    fails instead of quietly testing plain merge tasks."""
     with job.streaming_session():
         out = call(*args, **kw)
     for res in out if isinstance(out, list) else [out]:
-        assert res.metrics.get("streaming_apply"), "commit took the sort route"
+        assert res.metrics.get("streaming_apply"), "commit missed the session's shards"
     return out
 
 
 def wal_read(tmp_path, ds):
     """Write ``ds`` — a generated envelope Dataset — to a new parquet WAL
     directory under ``tmp_path`` and return its read as a follower makes
-    it, ``read_parquet(columns=APPLY_COLUMNS)``: a file read, so a
-    commit of it inside a session takes the push route."""
+    it, ``read_parquet(columns=APPLY_COLUMNS)``: a file read, whose
+    decode units are its own read tasks."""
     import ray.data
 
     from plugin_debezium_ray.stages.apply import APPLY_COLUMNS

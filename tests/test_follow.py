@@ -209,7 +209,7 @@ class TestFollowApply:
 
     def test_streaming_follower_one_pool_same_lake(self, tmp_path):
         """follow_apply holds ONE persistent shard pool across arrival
-        commits and produces the same lake as a sort-route run."""
+        commits and produces the same lake as a sessionless run."""
         wal = tmp_path / "wal"
         wal.mkdir()
         _write_segment(str(wal), 0, 250, base_lsn=1)

@@ -1,8 +1,9 @@
-"""Restart in O(footers): a session commit drops the read tasks of the
-WAL files whose footers prove the ledger filter drops every data row
-(``ddl_rows_from_parquet(mark=...)``), and the shard pool starts only at
-the first row that needs it (``StreamingSession.shards``).  Every case
-ends in the state ``oracle_apply`` gives."""
+"""Restart in O(footers): a commit drops the read tasks of the WAL files
+whose footers prove the ledger filter drops every data row
+(``ddl_rows_from_parquet(mark=...)``), with or without a session, and a
+session's shard pool starts only at the first row that needs it
+(``StreamingSession.shards``).  Every case ends in the state
+``oracle_apply`` gives."""
 
 import argparse
 import hashlib
@@ -72,10 +73,12 @@ def _bucket_hashes(job) -> dict:
 
 
 def _base(tmp_path, data=None) -> tuple[ReplayJob, list[str]]:
-    """A lake that committed the whole WAL (v1, sort route)."""
+    """A lake that committed the whole WAL (v1, plain merge tasks)."""
     paths = _wal(str(tmp_path / "wal"), data)
     job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
     assert job.run(_read(paths)).version == 1
+    # a ``submitted`` spy lists the units of the commits after this one
+    getattr(sa._decode_unit, "units", []).clear()
     return job, paths
 
 
@@ -97,7 +100,9 @@ def submitted(monkeypatch):
 
             return types.SimpleNamespace(remote=remote)
 
-    monkeypatch.setattr(sa, "_decode_unit", Spy())
+    spy = Spy()
+    spy.units = units
+    monkeypatch.setattr(sa, "_decode_unit", spy)
     return units
 
 
@@ -129,6 +134,19 @@ class TestFooterSkip:
         assert res.version == 2 and _bucket_hashes(job) == before
         assert _state(job) == _oracle()
         assert {"language", "license"} <= set(job.read_table().schema().names)
+
+    def test_sessionless_rerun_skips_covered_files(self, tmp_path, submitted):
+        """Without a session the rerun of a covered WAL skips the same
+        files: only segment 8's read task runs, nothing is applied, and
+        the lake is unchanged."""
+        job, paths = _base(tmp_path)
+        before = _bucket_hashes(job)
+        res = job.run_from_paths(paths)
+        assert submitted == [["seg-00008.parquet"]]
+        assert res.metrics["files_skipped"] == 8 and res.events_seen == 0
+        assert "streaming_apply" not in res.metrics
+        assert res.version == 2 and _bucket_hashes(job) == before
+        assert _state(job) == _oracle()
 
     def test_ledger_missing_a_bucket_skips_nothing(self, tmp_path, submitted):
         """Without a mark for bucket 0 the ledger proves nothing about
@@ -235,10 +253,11 @@ class TestLazyPool:
         """A fresh lake's first commit: a window of units is split by
         shard before the pool exists, the driver starts the pool at the
         first task that kept rows, and every unit is decoded once; each
-        event counts once and the lake is the sort route's."""
+        event counts once and the lake is a sessionless commit's."""
         paths = _wal(str(tmp_path / "wal"))
         sort = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "sort"))
         want = sort.run(_read(paths))
+        submitted.clear()  # the sessionless commit's own units
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
         with job.streaming_session(num_shards=2) as session:
             assert session._window >= 2 and session._shards is None

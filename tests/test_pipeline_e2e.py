@@ -153,11 +153,11 @@ class TestStopConditions:
 
 
 class _SnapshotModeCases:
-    """The snapshot-mode rules, on the sort route or, with ``PUSH``, the
-    push route: both routes share them (a snapshot is passed in every
-    case)."""
+    """The snapshot-mode rules, on plain merge tasks or, with ``PUSH``,
+    a session's shards: both merge homes share them (a snapshot is
+    passed in every case)."""
 
-    #: run with a shard pool open on the job (the push route)
+    #: run with a shard pool open on the job
     PUSH = False
 
     def _apply(self, job, env, snap):
@@ -208,8 +208,8 @@ class TestSnapshotModes(_SnapshotModeCases):
 
 
 class TestSnapshotModesPushRoute(_SnapshotModeCases):
-    """The same cases over parquet WAL reads, which the push route
-    takes."""
+    """The same cases over parquet WAL reads, merged on a session's
+    shards."""
 
     PUSH = True
 
@@ -285,8 +285,8 @@ class TestTriggerSurfaces:
     def test_max_records_soft_limit(self, tmp_path, snap):
         """maxRecords bounds the tail but NEVER the snapshot phase
         (AbstractDebeziumTask.java:617-621); a streaming session bounds
-        each of its commits the same way, on the sort route, since a
-        limited read is no file read."""
+        each of its commits the same way: the limited read is
+        materialized, and its blocks merge on the session's shards."""
         env = binlog(N_EVENTS, N_KEYS, seed=SEED)
         cfg = CaptureConfig(num_buckets=8, max_records=100)
         job = ReplayJob(cfg, str(tmp_path / "sort"))
@@ -295,7 +295,7 @@ class TestTriggerSurfaces:
         session = ReplayJob(cfg, str(tmp_path / "push")).streaming_session()
         with session:
             res = session.apply_segment(wal_read(tmp_path, env))
-        assert res.events_seen == 100 and "streaming_apply" not in res.metrics
+        assert res.events_seen == 100 and res.metrics["streaming_apply"]
 
 
 class TestLineageMetrics:

@@ -37,7 +37,7 @@ from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import binlog, oracle_apply
 from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
-# a parquet WAL read: the input the push route takes
+# a parquet WAL read: its units are the read's own tasks
 binlog(3000, 250, seed=7).write_parquet(sys.argv[2])
 job = ReplayJob(CaptureConfig(num_buckets=12), sys.argv[1])
 with job.streaming_session(num_shards=6):

@@ -190,7 +190,7 @@ def test_two_writers_one_commit_wins(tmp_path):
     bucket files (it wrote its own attempt directory)."""
     import time
 
-    from plugin_debezium_ray.pipelines.replay import _sort_route
+    from plugin_debezium_ray.pipelines.streaming_apply import route
     from plugin_debezium_ray.state.checkpoint import CommitConflict
 
     lake = str(tmp_path)
@@ -201,11 +201,11 @@ def test_two_writers_one_commit_wins(tmp_path):
     prep_b = b._prepare(binlog(N, K, seed=SEED + 1), None, False)
     assert prep_a.version == prep_b.version == 2
 
-    rows, _ = _sort_route(prep_a)
+    rows, _ = route(prep_a)
     assert a._commit(prep_a, rows, {}, time.monotonic()).version == 2
     won = a.ckpt.bucket_paths()
     won_sha = _sha(won)
-    rows, _ = _sort_route(prep_b)
+    rows, _ = route(prep_b)
     with pytest.raises(CommitConflict):
         b._commit(prep_b, rows, {}, time.monotonic())
     assert _sha(won) == won_sha
@@ -229,20 +229,23 @@ def test_string_widths_mix_on_one_lake(tmp_path, first):
     assert _state(lake) == _oracle(300)
 
 
-def _commit_on(route, lake, ds):
+def _commit_in(home, lake, ds):
+    """One commit of ``ds`` on plain merge tasks or a session's shards."""
     job = ReplayJob(CaptureConfig(num_buckets=8), lake)
-    if route == "sort":
-        return job.run(ds)
+    if home == "tasks":
+        res = job.run(ds)
+        assert "streaming_apply" not in res.metrics
+        return res
     with job.streaming_session(num_shards=2) as session:
         res = session.apply_segment(ds)
     assert res.metrics["streaming_apply"]
     return res
 
 
-@pytest.mark.parametrize("route", ["sort", "push"])
-def test_crash_at_every_commit_write(tmp_path, route):
-    """A process crash at each filesystem write of commit 2, on both
-    routes.  Each crash state is built from a completed commit by
+@pytest.mark.parametrize("home", ["tasks", "shards"])
+def test_crash_at_every_commit_write(tmp_path, home):
+    """A process crash at each filesystem write of commit 2, in both
+    merge homes.  Each crash state is built from a completed commit by
     deleting the writes after the crash point (shard actors write from
     other processes, so the crash cannot be injected in place).  After
     each, restore() is exactly v1 or v2, and rerunning commit 2's input
@@ -251,8 +254,8 @@ def test_crash_at_every_commit_write(tmp_path, route):
     meta = os.path.join(lake, "_meta")
     head, tail = (wal_read(tmp_path, _segment(lo, hi))
                   for lo, hi in ((0, 150), (150, 300)))
-    _commit_on(route, lake, head)
-    _commit_on(route, lake, tail)
+    _commit_in(home, lake, head)
+    _commit_in(home, lake, tail)
     shutil.copytree(lake, saved)
     ckpt = ReplayJob(CaptureConfig(), lake).ckpt
     v1, v2 = ckpt.restore_version(1), ckpt.restore_version(2)
@@ -284,7 +287,7 @@ def test_crash_at_every_commit_write(tmp_path, route):
 
         want = v2 if state == "linked" else v1
         assert ckpt.restore() == want, point
-        res = _commit_on(route, lake, tail)
+        res = _commit_in(home, lake, tail)
         assert res.version == want["version"] + 1, point
         assert res.events_seen == (0 if want is v2 else 600), point
         assert _state(lake) == _oracle(300), point

@@ -204,7 +204,7 @@ class TestMaxDurationSegments:
         )
         out = job.run_segments(segs)
         assert len(out) == 1  # budget hit after the first commit
-        # the push route's segment entry point keeps the same budget
+        # a session's segment commits keep the same budget
         push = ReplayJob(job.cfg, str(tmp_path / "push"))
         assert len(pushed(push, push.run_segments, segs)) == 1
 

@@ -1,6 +1,7 @@
-"""Barrier-free actor-pool apply (`pipelines/streaming_apply.py`):
-byte-parity with the sort path, oracle parity, idempotent rerun,
-incremental resume, and out-of-order ingestion (LWW order independence).
+"""The apply route (`pipelines/streaming_apply.py`) and its two merge
+homes, plain merge tasks and a session's shard actors: byte-parity
+between them, oracle parity, idempotent rerun, incremental resume, and
+out-of-order ingestion (LWW order independence).
 """
 
 import hashlib
@@ -15,6 +16,7 @@ from test_recovery import _oracle, _segment
 from test_recovery import _state as _lake_state
 from plugin_debezium_ray.config import CaptureConfig, OffsetCommitMode
 from plugin_debezium_ray.pipelines.replay import ReplayJob
+from plugin_debezium_ray.pipelines.streaming_apply import route
 from plugin_debezium_ray.sources.binlog import (
     binlog,
     oracle_apply,
@@ -73,7 +75,7 @@ class TestStreamingApply:
         res = pushed(job, job.run, wal_read(
             tmp_path, binlog(1500, N_KEYS, seed=SEED, base_lsn=2001)))
         assert res.events_seen == 1500 and res.version == 2
-        # mirror with the sort path from scratch over the full stream
+        # mirror on plain merge tasks from scratch over the full stream
         ref = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "ref"))
         full = binlog(2000, N_KEYS, seed=SEED).union(
             binlog(1500, N_KEYS, seed=SEED, base_lsn=2001)
@@ -96,7 +98,7 @@ class TestStreamingApply:
 
     def test_schema_evolution_by_the_default_ddl_rule(self, tmp_path):
         """DDL in the input replays through the streaming path under the
-        default rule (same ST3 contract as the sort path)."""
+        default rule (same ST3 contract as without a session)."""
         from plugin_debezium_ray.sources.binlog import ddl_events_table
 
         ddl = ray.data.from_arrow(
@@ -120,7 +122,7 @@ class TestStreamingApply:
     def test_compaction_is_lossless(self, tmp_path, monkeypatch):
         """A tiny compact threshold forces many in-flight winner
         reductions (weights must SUM through compaction, not recount);
-        result and events_seen must equal the sort path's."""
+        result and events_seen must equal plain merge tasks'."""
         from plugin_debezium_ray.pipelines import streaming_apply as sa
 
         monkeypatch.setattr(sa, "COMPACT_ROWS", 100)
@@ -182,7 +184,7 @@ class TestStreamingSoak:
             for i, r in enumerate(results)
         )
 
-        # parity: one-shot sort path over the union of all segments
+        # parity: one sessionless commit over the union of all segments
         ref = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "ref"))
         full = self._segments()[0]
         for seg in self._segments()[1:]:
@@ -199,7 +201,7 @@ class TestStreamingSoak:
     def test_mid_session_ddl_evolves_schema(self, tmp_path):
         """Each segment's DDL replays before that segment applies —
         schema evolution ACROSS commits of one streaming session (ST3
-        parity with the sort route)."""
+        parity with plain merge tasks)."""
         from plugin_debezium_ray.sources.binlog import ddl_events_table
 
         ddl = ray.data.from_arrow(
@@ -365,13 +367,14 @@ class TestSessionShardLoss:
 
 
 class TestOneApplySurface:
-    """The job picks the route: while a shard pool is open on it, every
-    commit of every entry point takes the push route; nothing else about
-    a commit depends on the route."""
+    """The job picks the merge home: while a shard pool is open on it,
+    every commit of every entry point merges on its shards; nothing else
+    about a commit depends on the home.  (``route`` ids: ``sort`` is a
+    sessionless commit, merged by plain tasks.)"""
 
     def test_default_ddl_rule_is_the_same_on_both_routes(self, tmp_path):
-        """The same DDL-bearing segments with default arguments: the
-        sort route's ``run_segments`` and a session's commits evolve the
+        """The same DDL-bearing segments with default arguments: a
+        sessionless ``run_segments`` and a session's commits evolve the
         schema alike and write the same bucket files."""
         from plugin_debezium_ray.sources.binlog import ddl_events_table
 
@@ -401,7 +404,7 @@ class TestOneApplySurface:
 
     def test_apply_columns_read_commits(self, tmp_path):
         """An input without a ``ddl`` column (the pruned read the
-        follower and the benchmark use) commits on the sort route."""
+        follower and the benchmark use) commits without a session."""
         from plugin_debezium_ray.sources.binlog import write_binlog_segments
         from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
@@ -442,7 +445,7 @@ class TestOneApplySurface:
         """A commit of ``read_parquet(columns=APPLY_COLUMNS)`` takes the
         DDL of its own files from their footers, though the read drops
         the ``ddl`` column: the rename in segment 2 reaches the lake and
-        the manifest's schema log on both routes."""
+        the manifest's schema log in both merge homes."""
         from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
         paths = self._ddl_wal(tmp_path)
@@ -466,7 +469,7 @@ class TestOneApplySurface:
         """ON_STOP commits its segments' union once; a union of pruned
         reads takes the DDL of every read's files from their footers,
         so the rename in segment 2 reaches the lake and the schema log
-        on both routes."""
+        in both merge homes."""
         from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
         reads = [ray.data.read_parquet(p, columns=list(APPLY_COLUMNS))
@@ -483,6 +486,20 @@ class TestOneApplySurface:
         assert job.ckpt.restore()["schema"]["log"] == [self.RENAME]
         assert results[0].metrics["registry_rows_read"] == 301
 
+    @staticmethod
+    def _schema_runs_no_plan(m):
+        """Patch ``Dataset.schema`` to fail whenever it would have to run
+        a plan: a ``limit(1)`` job."""
+        known = ray.data.Dataset.schema
+
+        def schema(self, fetch_if_missing=True):
+            # Ray Data itself asks for schemas its plans already know
+            sch = known(self, fetch_if_missing=False)
+            assert sch is not None or not fetch_if_missing, "schema() ran a plan"
+            return sch
+
+        m.setattr(ray.data.Dataset, "schema", schema)
+
     @pytest.mark.parametrize("route", ["sort", "session"])
     def test_first_commit_of_a_union_runs_no_plan_for_its_schema(
         self, tmp_path, route, monkeypatch
@@ -493,27 +510,78 @@ class TestOneApplySurface:
         paths = self._ddl_wal(tmp_path)
         ds = ray.data.read_parquet(paths[0]).union(ray.data.read_parquet(paths[1]))
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
-        known = ray.data.Dataset.schema
-
-        def schema(self, fetch_if_missing=True):
-            # Ray Data itself asks for schemas its plans already know
-            sch = known(self, fetch_if_missing=False)
-            assert sch is not None or not fetch_if_missing, "schema() ran a plan"
-            return sch
-
         with monkeypatch.context() as m:
-            m.setattr(ray.data.Dataset, "schema", schema)
+            self._schema_runs_no_plan(m)
             res = job.run(ds) if route == "sort" else pushed(job, job.run, ds)
         assert (res.version, res.events_seen) == (1, 900)
         assert job.ckpt.restore()["schema"]["log"] == [self.RENAME]
 
     @pytest.mark.parametrize("route", ["sort", "session"])
+    def test_first_commit_of_a_generated_union_runs_its_plan_once(
+        self, tmp_path, route, monkeypatch
+    ):
+        """A generated WAL under a generated snapshot, the union a
+        sort-based ``groupby`` plan stalled on for a minute: the input
+        is materialized once, so every generated row passes a counting
+        spy exactly once; its schema and DDL come from the blocks, so no
+        ``schema()`` call runs a plan; the lake is the oracle's."""
+        n, k = 40_000, 4_000
+        tally = str(tmp_path / "rows")
+
+        def spied(ds):
+            def count(t):
+                with open(tally, "a") as f:
+                    f.write(f"{t.num_rows}\n")
+                return t
+
+            return ds.map_batches(count, batch_format="pyarrow")
+
+        env = spied(binlog(n, k, seed=SEED))
+        snap = spied(snapshot_envelopes(k, seed=SEED))
+        job = ReplayJob(CaptureConfig(num_buckets=64), str(tmp_path / "lake"))
+        with monkeypatch.context() as m:
+            self._schema_runs_no_plan(m)
+            res = (job.run(env, snapshot=snap) if route == "sort"
+                   else pushed(job, job.run, env, snapshot=snap))
+        assert sum(map(int, open(tally).read().split())) == n + k
+        assert (res.version, res.events_seen) == (1, n + k)
+        assert _state(job) == {
+            key: hashlib.sha256(r["content"].encode()).hexdigest()
+            for key, r in oracle_apply(n, k, seed=SEED).items()
+        }
+
+    def test_every_merge_home_writes_the_same_phase_metrics(self, tmp_path):
+        """A sessionless commit, a session commit and each stream of
+        ``replay_multi_table`` record one set of phase metrics, and
+        ``lineage`` prints them."""
+        import argparse
+
+        from test_multi_table import _mixed_env
+        from plugin_debezium_ray.__main__ import cmd_lineage
+        from plugin_debezium_ray.pipelines.multi_table import replay_multi_table
+
+        keys = {"registry_seconds", "decode_seconds", "finalize_seconds",
+                "decode_tasks", "files_skipped", "rows_skipped"}
+        seg = wal_read(tmp_path, binlog(300, 40, seed=SEED))
+        plain = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "plain"))
+        session = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "session"))
+        multi = replay_multi_table(_mixed_env(), str(tmp_path / "multi"),
+                                   CaptureConfig(key_cols=("id",), num_buckets=4))
+        results = [plain.run(seg), pushed(session, session.run, seg),
+                   *multi.values()]
+        assert len(results) == 4
+        for res in results:
+            assert keys <= set(res.metrics), sorted(keys - set(res.metrics))
+            assert res.metrics["decode_tasks"] >= 1
+        lineage = cmd_lineage(argparse.Namespace(lake=plain.table_dir))
+        assert keys <= set(lineage["metrics"])
+
+    @pytest.mark.parametrize("route", ["sort", "session"])
     def test_pruned_read_under_a_generated_snapshot(self, tmp_path, route):
         """A pruned WAL read joined to a generated snapshot: the union's
-        inputs carry different columns, and the sort route narrows them
-        to ``APPLY_COLUMNS`` before it batches rows of both together.
-        The union is not a file read, so a session commits it on the
-        sort route too."""
+        inputs carry different columns.  The union is not a file read, so
+        it is materialized and each block is narrowed on its own; a
+        session's commit of it merges on the shards."""
         wal = wal_read(tmp_path, binlog(1200, 150, seed=SEED))
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
         snap = snapshot_envelopes(150, seed=SEED)
@@ -523,7 +591,7 @@ class TestOneApplySurface:
             with job.streaming_session(num_shards=2):
                 res = job.run(wal, snapshot=snap)
         assert res.events_seen == 1200 + 150
-        assert "streaming_apply" not in res.metrics
+        assert bool(res.metrics.get("streaming_apply")) == (route == "session")
         assert _state(job) == {
             k: hashlib.sha256(r["content"].encode()).hexdigest()
             for k, r in oracle_apply(1200, 150, seed=SEED).items()
@@ -594,12 +662,12 @@ class TestOneApplySurface:
 
 
 class TestDecodeUnits:
-    """The push route's decode tasks: a file read — one read or a union
-    of reads — runs the reads' own tasks, one per file; any other plan
-    commits on the sort route.  Every push manifest records its
+    """The decode tasks: a file read — one read or a union of reads —
+    runs the reads' own tasks, one per file; any other plan is
+    materialized, one task per block.  Every manifest records its
     ``decode_tasks``, and ``lineage`` reads it back.  A Ray upgrade that
-    moves the logical plan fails here instead of sending the follower's
-    commits to the sort route."""
+    moves the logical plan fails here instead of silently materializing
+    the follower's reads."""
 
     def _wal(self, tmp_path, n_events, n_files):
         import glob
@@ -658,10 +726,13 @@ class TestDecodeUnits:
         assert [(r.metrics["streaming_apply"], r.metrics["decode_tasks"])
                 for r in reads] == [(True, 3), (True, 3)]
         assert (lineage["streaming_apply"], lineage["decode_tasks"]) == (True, 3)
+        # the other inputs are materialized: one unit per non-empty
+        # block, merged on the session's shards
+        assert [r.events_seen for r in others] == [300, 0, 0]
         for r in others:
-            assert "apply_wall_seconds" in r.metrics
-            assert "streaming_apply" not in r.metrics
-            assert "decode_tasks" not in r.metrics
+            assert r.metrics["streaming_apply"]
+            assert r.metrics["decode_tasks"] >= 1
+            assert r.metrics["files_skipped"] == 0
 
     def test_failed_read_task_fails_the_commit_only(self, tmp_path):
         """One read task of a session commit raises (a WAL file without
@@ -700,8 +771,8 @@ class TestDecodeUnits:
 
     def test_duplicate_input_counts_as_on_the_sort_route(self, tmp_path):
         """A file read twice, as one read of ``[f, f]`` or as a union of
-        two reads, holds each of its events twice: the push route counts
-        them as the sort route does and writes the same bucket files."""
+        two reads, holds each of its events twice: a session counts them
+        as plain merge tasks do and writes the same bucket files."""
         f = self._wal(tmp_path, 300, 1)[0]
         inputs = {
             "list": lambda: self._read([f, f]),
@@ -723,7 +794,8 @@ class TestDecodeUnits:
     def test_unit_splits_every_block_by_shard(self):
         """A read task may yield several blocks: the unit's per-shard
         counts and slices hold every projected row of all of them, each
-        in the shard that owns its bucket."""
+        in the shard that owns its bucket.  A materialized block is a
+        unit of its own."""
         import numpy as np
         import pyarrow as pa
         import pyarrow.compute as pc
@@ -753,6 +825,11 @@ class TestDecodeUnits:
             == list(range(0, 370, 2))
         for s, part in enumerate(slices):
             assert set(shard_of[part["_bucket"].to_numpy()]) == {s}
+        batches.clear()
+        counts, *slices = _decode_unit._function(proj, shard_of, 2, blocks[1], 100)
+        assert batches == [100, 20]
+        assert sorted(x for s in slices for x in s["x"].to_pylist()) \
+            == list(range(250, 370, 2))
 
     def test_retried_decode_task_counts_each_event_once(
         self, tmp_path, monkeypatch
@@ -825,9 +902,9 @@ def _file_sha(path):
 
 
 class TestMergeKernel:
-    """``BucketMerge`` over one or many buckets per call: the push route
-    merges a shard's whole drain in one call, the sort route one bucket
-    per call; both must write the same files and stats."""
+    """``BucketMerge`` over one or many buckets per call: a merge home
+    merges a whole bucket range in one call; one call per bucket must
+    write the same files and stats."""
 
     def _merge(self, out_dir, commit_id, **kw):
         from plugin_debezium_ray.stages.apply import BucketMerge
@@ -942,12 +1019,13 @@ class TestMergeKernel:
         assert m["metrics"]["events_seen"] == 1
 
 
-class TestRouteParityAcrossEpochs:
-    """Three commits through each route — snapshot + WAL, a DDL segment
-    (add column + rename) touching only some buckets, then a segment
-    touching every bucket: after every commit both routes hold the same
-    bucket files and fingerprints, and each incremental fingerprint
-    equals a from-scratch digest of the same state."""
+class TestMergeHomeParityAcrossEpochs:
+    """Three commits in each merge home, plain tasks and a session's
+    shards — snapshot + WAL, a DDL segment (add column + rename)
+    touching only some buckets, then a segment touching every bucket:
+    after every commit both homes hold the same bucket files and
+    fingerprints, and each incremental fingerprint equals a from-scratch
+    digest of the same state."""
 
     def _segments(self):
         from plugin_debezium_ray.sources.binlog import ddl_events_table
@@ -968,27 +1046,27 @@ class TestRouteParityAcrossEpochs:
             binlog(1200, 150, seed=SEED, base_lsn=20_001),
         ]
 
-    def test_routes_agree_after_every_commit(self, tmp_path):
+    def test_homes_agree_after_every_commit(self, tmp_path):
         segs = [wal_read(tmp_path, seg) for seg in self._segments()]
-        self._routes_agree(tmp_path, lambda job: job.run_segments(segs))
+        self._homes_agree(tmp_path, lambda job: job.run_segments(segs))
 
-    def test_routes_agree_on_parquet_inputs(self, tmp_path):
+    def test_homes_agree_on_parquet_inputs(self, tmp_path):
         """The segments written to parquet and committed by path
         (``run_from_paths``: ``read_parquet(columns=APPLY_COLUMNS)``
-        plus the footer DDL planner): the push route runs the read's
+        plus the footer DDL planner): the decode tasks run the read's
         own tasks."""
         dirs = [str(tmp_path / f"seg{i}") for i in range(3)]
         for seg, d in zip(self._segments(), dirs):
             seg.write_parquet(d)
-        self._routes_agree(
+        self._homes_agree(
             tmp_path, lambda job: [job.run_from_paths(d) for d in dirs]
         )
 
-    def _routes_agree(self, tmp_path, commit_all):
+    def _homes_agree(self, tmp_path, commit_all):
         cfg = CaptureConfig(num_buckets=16,
                             offset_commit_mode=OffsetCommitMode.ON_EACH_BATCH)
-        sort = ReplayJob(cfg, str(tmp_path / "sort"))
-        assert len(commit_all(sort)) == 3
+        tasks = ReplayJob(cfg, str(tmp_path / "tasks"))
+        assert not any(r.metrics.get("streaming_apply") for r in commit_all(tasks))
         push = ReplayJob(cfg, str(tmp_path / "push"))
         assert len(pushed(push, commit_all, push)) == 3
 
@@ -1001,8 +1079,9 @@ class TestRouteParityAcrossEpochs:
             )
 
         segs = self._segments()
+        assert tasks.ckpt.current_version() == 3
         for v in (1, 2, 3):
-            s_files, s_fps, touched = commit(sort, v)
+            s_files, s_fps, touched = commit(tasks, v)
             assert (s_files, s_fps, touched) == commit(push, v)
             # one commit over the union digests every bucket in full
             full = ReplayJob(CaptureConfig(num_buckets=16), str(tmp_path / f"full{v}"))
@@ -1048,7 +1127,7 @@ class TestHeldBucketTables:
         return [wal_read(tmp_path, _segment(lo, hi))
                 for lo, hi in zip(self.CUTS, self.CUTS[1:])]
 
-    def _sort_lake(self, tmp_path, segs):
+    def _sessionless_lake(self, tmp_path, segs):
         ref = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "ref"))
         ref.run_segments(segs)
         return ref
@@ -1061,18 +1140,18 @@ class TestHeldBucketTables:
         segs = self._segments(tmp_path)
         lake = str(tmp_path / "lake")
         job = ReplayJob(CaptureConfig(**self.CFG), lake)
-        results = job.run_segments(segs[:2])  # sort route: v1, v2
+        results = job.run_segments(segs[:2])  # plain merge tasks: v1, v2
         results += pushed(job, job.run_segments, segs[2:])  # one session: v3, v4
         assert [r.version for r in results] == [1, 2, 3, 4]
         assert [r.metrics["buckets_touched"] for r in results] == [8] * 4
-        # a fresh lake has no prior file; the sort route and the first
+        # a fresh lake has no prior file; a merge task and the first
         # commit of a fresh pool read every touched bucket's file; the
         # pool's second commit merges over what it wrote
         assert [r.metrics["prior_files_read"] for r in results] == [0, 8, 8, 0]
         lineage = cmd_lineage(argparse.Namespace(lake=lake))
         assert lineage["metrics"]["prior_files_read"] == 0
 
-        ref = self._sort_lake(tmp_path, segs)
+        ref = self._sessionless_lake(tmp_path, segs)
         assert _bucket_hashes(job) == _bucket_hashes(ref)
         assert _lake_state(job.table_dir) == _oracle(self.CUTS[-1])
 
@@ -1104,7 +1183,7 @@ class TestHeldBucketTables:
         assert [r.metrics["buckets_touched"] for r in results] == [8, 4, 4]
         assert [r.metrics["prior_files_read"] for r in results] == [0, 0, 0]
         assert _lake_state(job.table_dir) == _oracle(300)
-        assert _bucket_hashes(job) == _bucket_hashes(self._sort_lake(tmp_path, segs))
+        assert _bucket_hashes(job) == _bucket_hashes(self._sessionless_lake(tmp_path, segs))
 
     def test_sort_writer_between_session_commits(self, tmp_path):
         """Another writer commits between two session commits: the
@@ -1121,29 +1200,33 @@ class TestHeldBucketTables:
         assert res.metrics["streaming_apply"]
         assert res.version == 4 and res.metrics["prior_files_read"] == 8
         assert _lake_state(job.table_dir) == _oracle(self.CUTS[-1])
-        assert _bucket_hashes(job) == _bucket_hashes(self._sort_lake(tmp_path, segs))
+        assert _bucket_hashes(job) == _bucket_hashes(self._sessionless_lake(tmp_path, segs))
 
-    def test_generated_input_commits_on_the_sort_route_mid_session(
-        self, tmp_path
-    ):
+    def test_generated_input_merges_on_the_sessions_shards(self, tmp_path):
         """A file read, a ``binlog()`` segment, a file read, in one
-        session: the generated segment commits on the sort route, every
-        commit writes the sort-only job's bucket files, and the third
-        commit reads back exactly the buckets the second rewrote — held
-        tables are trusted only while the manifest pins their path."""
+        session: the generated segment is materialized and merges on the
+        session's shards like the reads, every commit writes the
+        sessionless job's bucket files, and no commit after the first
+        reads a prior file — the shards hold what they wrote, the
+        generated commit's buckets included."""
         segs = [wal_read(tmp_path, _segment(0, 75)), _segment(75, 76),
                 wal_read(tmp_path, _segment(76, 300))]
-        ref = self._sort_lake(tmp_path, segs)
+        ref = self._sessionless_lake(tmp_path, segs)
         job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "lake"))
-        with job.streaming_session():
+        with job.streaming_session() as session:
             results = job.run_segments(segs)
         assert [r.metrics.get("streaming_apply") for r in results] \
-            == [True, None, True]
-        assert "apply_wall_seconds" in results[1].metrics
-        rewritten = results[1].metrics["buckets_touched"]
-        assert 0 < rewritten < 8
+            == [True, True, True]
+        v2 = {int(b) for b, e in job.ckpt.restore_version(2)["buckets"].items()
+              if "/v000002-" in e["path"]}
+        assert 0 < len(v2) == results[1].metrics["buckets_touched"] < 8
         assert [r.metrics["buckets_touched"] for r in results[::2]] == [8, 8]
-        assert results[2].metrics["prior_files_read"] == rewritten
+        # a shard that wrote in commit 2 holds only what it wrote; an
+        # idle one keeps its commit-1 tables
+        wrote = {int(session.shard_of[b]) for b in v2}
+        held = [b for b in range(8) if b in v2 or session.shard_of[b] not in wrote]
+        assert [r.metrics["prior_files_read"] for r in results] \
+            == [0, 0, 8 - len(held)]
         for v in (1, 2, 3):
             files = [{b: _file_sha(e["path"])
                       for b, e in j.ckpt.restore_version(v)["buckets"].items()}
@@ -1163,13 +1246,13 @@ class TestHeldBucketTables:
         )
         lake = str(tmp_path / "lake")
         job = ReplayJob(CaptureConfig(**self.CFG), lake)
-        with job.streaming_session():
+        with job.streaming_session() as session:
             assert job.run(s0).version == 1
             prep = job._prepare(s150, None, False)
             # the winner applies more of the log than the loser's attempt
             won = ReplayJob(CaptureConfig(**self.CFG), lake).run(won_seg)
             assert won.version == prep.version == 2
-            rows, metrics = job._route(prep)
+            rows, metrics = route(prep, session)
             assert metrics["streaming_apply"] and len(rows) == 8
             with pytest.raises(CommitConflict):
                 job._commit(prep, rows, metrics, 0.0)
@@ -1177,7 +1260,7 @@ class TestHeldBucketTables:
         assert res.metrics["streaming_apply"]
         assert res.version == 3 and res.metrics["prior_files_read"] == 8
         assert _lake_state(job.table_dir) == _oracle(300)
-        ref = self._sort_lake(tmp_path, [s0, won_seg, s250])
+        ref = self._sessionless_lake(tmp_path, [s0, won_seg, s250])
         assert _bucket_hashes(job) == _bucket_hashes(ref)
 
     def test_missing_committed_file_raises(self, tmp_path):

@@ -180,11 +180,11 @@ def test_vacuum_spares_an_in_flight_commit(tmp_path):
 
     import pandas as pd
 
-    from plugin_debezium_ray.pipelines.replay import _sort_route
+    from plugin_debezium_ray.pipelines.streaming_apply import route
 
     job = _three_commits(tmp_path)
     prep = job._prepare(binlog(400, 60, seed=4, base_lsn=30_001), None, False)
-    rows, metrics = _sort_route(prep)
+    rows, metrics = route(prep)
     vacuum(str(tmp_path), keep_manifests=1)
     assert job._commit(prep, rows, metrics, time.monotonic()).version == 4
     res = job.run(binlog(400, 60, seed=5, base_lsn=40_001), ddl_source=False)
