@@ -18,7 +18,11 @@ Every commit runs ONE core, ``run``:
               history into the registry, and cut the input into decode
               units: a file read's own read tasks, less the files the
               footer skip drops; any other input is materialized once
-              and its blocks are the units
+              and its blocks are the units.  ``run_from_paths`` reads
+              through ``ParquetFiles`` (``sources/parquet_files.py``),
+              which opened each footer once when the read was built: the
+              DDL plan and footer skip reuse those footers, and no Ray
+              task runs to plan the read
     route     ``_decode_unit`` tasks decode each unit (decode + ledger
               filter + LWW pre-reduce) and split its rows by bucket
               range; each range's merge home merges its buckets with
@@ -248,9 +252,16 @@ class ReplayJob:
         blocks are scanned.  Without DDL rows the registry carries
         forward.  ``ddl_source=False`` says the input carries no DDL and
         spares the scan."""
+        return self._run(time.monotonic(), envelopes, snapshot=snapshot,
+                         ddl_source=ddl_source)
+
+    def _run(self, t0: float, envelopes: "ray.data.Dataset", *,
+             snapshot: "ray.data.Dataset | None" = None,
+             ddl_source: "bool | None" = None) -> ReplayResult:
+        """``run`` on a clock started at ``t0``: ``wall_seconds`` and
+        ``elapsed_seconds`` count from there."""
         if ddl_source is not None and ddl_source is not False:
             raise TypeError("ddl_source must be None or False")
-        t0 = time.monotonic()
         prep = self._prepare(envelopes, snapshot, ddl_source)
         if isinstance(prep, ReplayResult):
             return prep  # the snapshot phase overran its budget
@@ -416,8 +427,12 @@ class ReplayJob:
 
     def run_source(self, source, **kw) -> ReplayResult:
         """Run any object implementing the Source protocol (§2.8) —
-        the 'one class per connector' extension surface."""
-        return self.run(
+        the 'one class per connector' extension surface.  The commit's
+        clock starts before the source builds its inputs, so
+        ``wall_seconds`` includes planning its reads."""
+        t0 = time.monotonic()
+        return self._run(
+            t0,
             source.envelopes(),
             snapshot=source.snapshot(),
             ddl_source=source.ddl_source(),
@@ -432,9 +447,10 @@ class ReplayJob:
         **kw,
     ) -> ReplayResult:
         """Replay Parquet WAL segments by path (a file, a list of files or
-        a directory): ``run_source`` of a ``ParquetWalSource``, which
-        reads only ``APPLY_COLUMNS``; the commit plans its DDL events
-        from the WAL files' footers."""
+        a directory): ``run_source`` of a ``ParquetWalSource``, whose
+        ``ParquetFiles`` reads keep only ``APPLY_COLUMNS`` and open each
+        footer once; the commit plans its DDL events and footer skip
+        from those footers and runs no Ray Data read planning."""
         from plugin_debezium_ray.sources.protocol import ParquetWalSource
 
         return self.run_source(
@@ -913,8 +929,8 @@ def _idle_bounded(
 
 class _FileRead(NamedTuple):
     """One ``Read`` op over known input files; ``parquet`` is
-    ``(filesystem, files)`` of a ``read_parquet`` without a row
-    ``filter=``, whose footers hold every DDL row the read sees."""
+    ``(filesystem, files, footers)`` of a read whose footers hold every
+    DDL row it sees (``footers`` None when the planner must open them)."""
 
     datasource: "ray.data.Datasource"
     files: list
@@ -929,16 +945,29 @@ def _file_reads(ds: "ray.data.Dataset") -> "list[_FileRead] | None":
     is one ``Read`` op or a nested ``Union`` of them (ON_STOP's
     ``Union(Union(R1, R2), R3)``, a snapshot read joined to a WAL read),
     each over known input files with a schema its plan knows; ``None``
-    for any other plan.  The engine's only use of Ray Data's private plan
-    API: the decode tasks run the reads' own tasks, and ``_prepare`` plans
-    parquet reads' DDL from their files.  A Ray upgrade that moves the
-    plan fails ``tests/test_streaming_apply.py::TestDecodeUnits`` instead
-    of silently materializing every file read."""
+    for any other plan.  It knows two datasources over parquet files:
+
+    - ``ParquetFiles`` (``ParquetWalSource``'s reads): its files,
+      filesystem, schema and the footers it already opened come from its
+      public attributes, so the DDL plan and footer skip open no footer
+      again;
+    - Ray's ``read_parquet`` without a row ``filter=``: the files and
+      filesystem Ray resolved; the planner opens each footer once.
+
+    Any other ``Read`` with input files is decoded from its read tasks,
+    and scanned for DDL rows when it has a ``ddl`` column.  The engine's only use of Ray Data's
+    private plan API: the decode tasks run the reads' own tasks, and
+    ``_prepare`` plans parquet reads' DDL from their files.  A Ray
+    upgrade that moves the plan fails
+    ``tests/test_streaming_apply.py::TestDecodeUnits`` instead of
+    silently materializing every file read."""
     from ray.data._internal.datasource.parquet_datasource import (
         ParquetDatasource,
     )
     from ray.data._internal.logical.operators.n_ary_operator import Union
     from ray.data._internal.logical.operators.read_operator import Read
+
+    from plugin_debezium_ray.sources.parquet_files import ParquetFiles
 
     reads, ops = [], [ds._logical_plan.dag]
     while ops:
@@ -946,14 +975,23 @@ def _file_reads(ds: "ray.data.Dataset") -> "list[_FileRead] | None":
         if isinstance(op, Union):
             ops.extend(reversed(op.input_dependencies))
             continue
-        if (not isinstance(op, Read) or not (files := op.infer_metadata().input_files)
-                or (schema := op.infer_schema()) is None):
+        if not isinstance(op, Read):
             return None
         src = op._datasource_or_legacy_reader
+        args = dict(op._ray_remote_args or {})
+        if isinstance(src, ParquetFiles):
+            reads.append(_FileRead(src, src.paths, args,
+                                   (src.filesystem, src.paths, src.footers),
+                                   src.schema))
+            continue
+        if (not (files := op.infer_metadata().input_files)
+                or (schema := op.infer_schema()) is None):
+            return None
         planned = (isinstance(src, ParquetDatasource)
                    and src._to_batches_kwargs.get("filter") is None)
-        reads.append(_FileRead(src, files, dict(op._ray_remote_args or {}),
-                               (src._filesystem, src._pq_paths) if planned else None,
+        reads.append(_FileRead(src, files, args,
+                               (src._filesystem, src._pq_paths, None)
+                               if planned else None,
                                schema))
     return reads
 

@@ -6,7 +6,7 @@ protocol any envelope producer implements:
 
     envelopes()  -> Dataset of envelope rows (the change stream)
     ddl_source() -> None: the commit takes the schema history's DDL rows
-                    from the envelopes (parquet reads' footers, or
+                    from the envelopes (parquet files' footers, or
                     a scan of their ``ddl`` column); False when the
                     source emits no DDL, so nothing is scanned
     snapshot()   -> Dataset of op=r rows for the initial load (or None)
@@ -24,6 +24,7 @@ from typing import Protocol, runtime_checkable
 import ray.data
 
 from plugin_debezium_ray.sources.binlog import binlog, snapshot_envelopes
+from plugin_debezium_ray.sources.parquet_files import ParquetFiles
 from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 
 
@@ -40,8 +41,11 @@ class Source(Protocol):
 
 class ParquetWalSource:
     """Envelope segments on disk/object storage — the production source.
-    Both reads keep only ``APPLY_COLUMNS``; the commit plans the WAL's
-    DDL rows from the files' footers."""
+    ``wal_paths`` and ``snapshot_paths`` are each a file, a list of files
+    or a directory.  Both reads are ``ParquetFiles`` datasources keeping
+    only ``APPLY_COLUMNS``: each opens its files' footers once, in the
+    driver, and runs no Ray task to plan itself.  The commit plans the
+    WAL's DDL rows and its footer skip from those same footers."""
 
     needs_schema_history = True
 
@@ -50,7 +54,7 @@ class ParquetWalSource:
         self.snapshot_paths = snapshot_paths
 
     def envelopes(self):
-        return ray.data.read_parquet(self.wal_paths, columns=list(APPLY_COLUMNS))
+        return _read_files(self.wal_paths)
 
     def ddl_source(self):
         return None  # planned from the read's own footers
@@ -58,7 +62,13 @@ class ParquetWalSource:
     def snapshot(self):
         if self.snapshot_paths is None:
             return None
-        return ray.data.read_parquet(self.snapshot_paths, columns=list(APPLY_COLUMNS))
+        return _read_files(self.snapshot_paths)
+
+
+def _read_files(paths) -> "ray.data.Dataset":
+    """``paths``' ``APPLY_COLUMNS`` as a Dataset, one read task per file."""
+    src = ParquetFiles(paths, columns=list(APPLY_COLUMNS))
+    return ray.data.read_datasource(src, override_num_blocks=len(src.paths))
 
 
 class SyntheticBinlogSource:

@@ -24,6 +24,7 @@ gated by the manifest commit (idempotent task retry).
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -142,97 +143,119 @@ def project_for_apply(
     Output columns: ``lsn, seq, deleted, <payload cols>, _bucket`` with key
     columns coalesced from the key struct (present even on deletes, whose
     after-image is null).
+
+    The fn is a ``functools.partial`` of the module-level
+    ``_project_batch``: it pickles by reference, so a decode task
+    unpickles its arguments instead of rebuilding a closure.
     """
+    return functools.partial(
+        _project_batch, tuple(key_cols), num_buckets, ledger, max_lsn,
+        renames, added_columns,
+    )
 
-    def project(t: pa.Table) -> pa.Table:
-        n = len(t)
-        deleted = (
-            pc.fill_null(
-                pc.is_in(t["op"], value_set=pa.array(list(DELETED_OPS))), False
-            ).combine_chunks()
-            if n
-            else pa.nulls(0, pa.bool_())
-        )
-        after = _one_chunk(t["after"])
-        ptype = after.type
-        names = [ptype.field(i).name for i in range(ptype.num_fields)]
-        cols = dict(zip(names, after.flatten()))
-        cols = _evolve_cols(cols, n, renames, added_columns)
-        key = _one_chunk(t["key"])
-        kt = key.type
-        kflat = key.flatten()  # honors a null key struct (.field leaks values)
-        for i in range(kt.num_fields):
-            kname = kt.field(i).name
-            cols[kname] = (
-                pc.coalesce(cols[kname], kflat[i])
-                if kname in cols
-                else kflat[i]
-            )
-        out = pa.table(
-            {
-                "lsn": _one_chunk(t["lsn"]),
-                "seq": _one_chunk(t["seq"]),
-                "deleted": deleted,
-                **cols,
-            }
-        )
-        # composite key computed ONCE, reused for bucket hash + pre-reduce
-        key = _composite_key(out, key_cols)
-        h = pd.util.hash_array(key.astype(object, copy=False))
-        bucket = pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        return out.append_column(BUCKET_COL, bucket), key
 
-    def fn(t: pa.Table) -> pa.Table:
-        # drop non-envelope rows (DDL / tombstones): op must be a data op.
-        # op=m (logical decoding message, `ChangeConsumer.java:196-213`)
-        # flows through format/filter like any envelope but carries no
-        # key or row image — it is not a data mutation, so the keyed
-        # apply skips it (op=t truncate DOES apply: DELETED_OPS marks it
-        # deleted, `AbstractDebeziumTask.java:813-817`).
-        op = t["op"]
-        keep = pc.and_(
-            pc.is_valid(op),
-            pc.and_(
-                pc.invert(pc.fill_null(pc.equal(op, OP_DDL), False)),
-                pc.invert(pc.fill_null(pc.equal(op, OP_MESSAGE), False)),
-            ),
+def _image_rows(t: pa.Table, key_cols: tuple[str, ...], num_buckets: int,
+                renames: dict[str, str] | None,
+                added_columns: list[tuple[str, str, object]] | None,
+                ) -> tuple[pa.Table, np.ndarray]:
+    """The data envelopes ``t`` as apply rows with their bucket, and
+    their composite keys."""
+    n = len(t)
+    deleted = (
+        pc.fill_null(
+            pc.is_in(t["op"], value_set=pa.array(list(DELETED_OPS))), False
+        ).combine_chunks()
+        if n
+        else pa.nulls(0, pa.bool_())
+    )
+    after = _one_chunk(t["after"])
+    ptype = after.type
+    names = [ptype.field(i).name for i in range(ptype.num_fields)]
+    cols = dict(zip(names, after.flatten()))
+    cols = _evolve_cols(cols, n, renames, added_columns)
+    key = _one_chunk(t["key"])
+    kt = key.type
+    kflat = key.flatten()  # honors a null key struct (.field leaks values)
+    for i in range(kt.num_fields):
+        kname = kt.field(i).name
+        cols[kname] = (
+            pc.coalesce(cols[kname], kflat[i])
+            if kname in cols
+            else kflat[i]
         )
-        if max_lsn is not None:
-            keep = pc.and_(keep, pc.less_equal(t["lsn"], max_lsn))
-        # data batches rarely contain DDL: skip the whole-table copy
-        # when the mask keeps every row (~75 ms per 131k-row batch)
-        if len(t) and not bool(pc.all(pc.fill_null(keep, False)).as_py()):
-            t = t.filter(keep)
-        out, key = project(t)
+    out = pa.table(
+        {
+            "lsn": _one_chunk(t["lsn"]),
+            "seq": _one_chunk(t["seq"]),
+            "deleted": deleted,
+            **cols,
+        }
+    )
+    # composite key computed ONCE, reused for bucket hash + pre-reduce
+    key = _composite_key(out, key_cols)
+    h = pd.util.hash_array(key.astype(object, copy=False))
+    bucket = pa.array((h % np.uint64(num_buckets)).astype(np.int32))
+    return out.append_column(BUCKET_COL, bucket), key
+
+
+def _project_batch(
+    key_cols: tuple[str, ...],
+    num_buckets: int,
+    ledger: dict[int, tuple[int, int]] | None,
+    max_lsn: int | None,
+    renames: dict[str, str] | None,
+    added_columns: list[tuple[str, str, object]] | None,
+    t: pa.Table,
+) -> pa.Table:
+    """``project_for_apply``'s fn over one envelope batch ``t``."""
+    # drop non-envelope rows (DDL / tombstones): op must be a data op.
+    # op=m (logical decoding message, `ChangeConsumer.java:196-213`)
+    # flows through format/filter like any envelope but carries no
+    # key or row image — it is not a data mutation, so the keyed
+    # apply skips it (op=t truncate DOES apply: DELETED_OPS marks it
+    # deleted, `AbstractDebeziumTask.java:813-817`).
+    op = t["op"]
+    keep = pc.and_(
+        pc.is_valid(op),
+        pc.and_(
+            pc.invert(pc.fill_null(pc.equal(op, OP_DDL), False)),
+            pc.invert(pc.fill_null(pc.equal(op, OP_MESSAGE), False)),
+        ),
+    )
+    if max_lsn is not None:
+        keep = pc.and_(keep, pc.less_equal(t["lsn"], max_lsn))
+    # data batches rarely contain DDL: skip the whole-table copy
+    # when the mask keeps every row (~75 ms per 131k-row batch)
+    if len(t) and not bool(pc.all(pc.fill_null(keep, False)).as_py()):
+        t = t.filter(keep)
+    out, key = _image_rows(t, key_cols, num_buckets, renames, added_columns)
+    if len(out) == 0:
+        return out
+
+    # ledger filter: skip events at-or-before the per-bucket high-water
+    # mark (ST1 idempotent replay, AbstractDebeziumTask.java:640-693)
+    if ledger:
+        n_before = len(out)
+        out = _ledger_filter(out, ledger)
         if len(out) == 0:
             return out
+        if len(out) != n_before:
+            key = _composite_key(out, key_cols)
 
-        # ledger filter: skip events at-or-before the per-bucket high-water
-        # mark (ST1 idempotent replay, AbstractDebeziumTask.java:640-693)
-        if ledger:
-            n_before = len(out)
-            out = _ledger_filter(out, ledger)
-            if len(out) == 0:
-                return out
-            if len(out) != n_before:
-                key = _composite_key(out, key_cols)
-
-        # per-batch pre-reduce: last event per key wins (lossless for LWW).
-        # `_weight` = raw events each winner represents, so consumed-record
-        # accounting (the reference Output.size) survives the reduce with
-        # no second pass over the stream.
-        win, weights = _winners_and_weights(
-            key, out["lsn"].to_numpy(), out["seq"].to_numpy()
-        )
-        if len(win) < len(out):
-            out = out.take(pa.array(win))
-        else:
-            # no intra-batch duplicate keys: every row is its own winner
-            # (weights all 1) — skip the gather of the wide content cols
-            weights = np.ones(len(out), dtype=np.int64)
-        return out.append_column(WEIGHT_COL, pa.array(weights, type=pa.int64()))
-
-    return fn
+    # per-batch pre-reduce: last event per key wins (lossless for LWW).
+    # `_weight` = raw events each winner represents, so consumed-record
+    # accounting (the reference Output.size) survives the reduce with
+    # no second pass over the stream.
+    win, weights = _winners_and_weights(
+        key, out["lsn"].to_numpy(), out["seq"].to_numpy()
+    )
+    if len(win) < len(out):
+        out = out.take(pa.array(win))
+    else:
+        # no intra-batch duplicate keys: every row is its own winner
+        # (weights all 1) — skip the gather of the wide content cols
+        weights = np.ones(len(out), dtype=np.int64)
+    return out.append_column(WEIGHT_COL, pa.array(weights, type=pa.int64()))
 
 
 def _ledger_filter(t: pa.Table, ledger: dict[int, tuple[int, int]]) -> pa.Table:

@@ -5,12 +5,14 @@ The reference accumulates DDL in a schema-history file
 hold the current payload schema + an ordered evolution log, snapshotted
 into every checkpoint manifest (the atomic offsets+history contract of
 ST2).  A plain class, built driver-side from the binlog's DDL rows.  When
-a commit's input is a ``read_parquet`` of WAL files, or a union of such
-reads, the DDL rows are planned from those files' footers (``ddl_rows_from_parquet``), even
-if the read prunes the ``ddl`` column: only row groups whose ``ddl``
-column is not all null are read, which plays the part of the reference's
-small schema-history file.  Any other input is scanned for them
-(``registry_from_envelopes``).  The same footer pass lists the files
+a commit's input is a read of WAL files (a ``ParquetFiles`` datasource or
+a ``read_parquet``), or a union of such reads, the DDL rows are planned
+from those files' footers (``ddl_rows_from_parquet``), even if the read
+prunes the ``ddl`` column: only row groups whose ``ddl`` column is not
+all null are read, which plays the part of the reference's small
+schema-history file.  A ``ParquetFiles`` read hands over the footers it
+already opened, so none is read twice.  Any other input is scanned for
+them (``registry_from_envelopes``).  The same footer pass lists the files
 whose ``lsn``/``seq`` statistics put every row at or below a ledger mark,
 which the commit then does not read.
 
@@ -187,12 +189,16 @@ def _at_or_below(rg, lsn_j: int, seq_j: int, mark: tuple[int, int]) -> bool:
 
 
 def ddl_rows_from_parquet(filesystem: "pyarrow.fs.FileSystem", files: list[str],
-                          *, max_lsn: int | None = None,
+                          footers: list | None = None, *,
+                          max_lsn: int | None = None,
                           mark: tuple[int, int] | None = None) -> FooterPlan:
     """Plan a read of ``files`` on ``filesystem`` from each file's own
-    footer, opening each footer once, in the driver — no Ray Data run.
-    ``ReplayJob`` passes the files and filesystem of a ``read_parquet``
-    input, so the files are the ones Ray Data resolved for that read.
+    footer, in the driver — no Ray Data run.  ``footers``, when given,
+    holds each file's ``FileMetaData`` already open, and no footer is
+    read again; otherwise each is opened once here.  ``ReplayJob``
+    passes the files and filesystem a commit's input resolved: a
+    ``ParquetFiles`` read's, with the footers it keeps, or a
+    ``read_parquet``'s.
 
     ``ddl`` holds the ``DDL_COLUMNS`` rows of the row groups that can hold
     DDL.  A file without a ``ddl`` column contributes nothing.  A row
@@ -211,32 +217,34 @@ def ddl_rows_from_parquet(filesystem: "pyarrow.fs.FileSystem", files: list[str],
     import pyarrow.parquet as pq
 
     parts, skipped = [], {}
-    for path in files:
-        with filesystem.open_input_file(path) as f:
-            pf = pq.ParquetFile(f)
-            md = pf.metadata
-            cols = [md.schema.column(j).path for j in range(md.num_columns)]
-            if (mark is not None and "lsn" in cols and "seq" in cols
-                    and all(_at_or_below(md.row_group(i), cols.index("lsn"),
-                                         cols.index("seq"), mark)
-                            for i in range(md.num_row_groups))):
-                skipped[path] = md.num_rows
-            if "ddl" not in cols:
+    for path, md in zip(files, footers or [None] * len(files)):
+        if md is None:
+            with filesystem.open_input_file(path) as f:
+                md = pq.ParquetFile(f).metadata
+        cols = [md.schema.column(j).path for j in range(md.num_columns)]
+        if (mark is not None and "lsn" in cols and "seq" in cols
+                and all(_at_or_below(md.row_group(i), cols.index("lsn"),
+                                     cols.index("seq"), mark)
+                        for i in range(md.num_row_groups))):
+            skipped[path] = md.num_rows
+        if "ddl" not in cols:
+            continue
+        ddl_j, lsn_j = cols.index("ddl"), cols.index("lsn")
+        keep = []
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            ddl, lsn = rg.column(ddl_j).statistics, rg.column(lsn_j).statistics
+            if (ddl is not None and ddl.has_null_count
+                    and ddl.null_count == rg.num_rows):
                 continue
-            ddl_j, lsn_j = cols.index("ddl"), cols.index("lsn")
-            keep = []
-            for i in range(md.num_row_groups):
-                rg = md.row_group(i)
-                ddl, lsn = rg.column(ddl_j).statistics, rg.column(lsn_j).statistics
-                if (ddl is not None and ddl.has_null_count
-                        and ddl.null_count == rg.num_rows):
-                    continue
-                if (max_lsn is not None and lsn is not None
-                        and lsn.has_min_max and lsn.min > max_lsn):
-                    continue
-                keep.append(i)
-            if keep:
-                parts.append(pf.read_row_groups(keep, columns=DDL_COLUMNS))
+            if (max_lsn is not None and lsn is not None
+                    and lsn.has_min_max and lsn.min > max_lsn):
+                continue
+            keep.append(i)
+        if keep:
+            with filesystem.open_input_file(path) as f:
+                parts.append(pq.ParquetFile(f, metadata=md).read_row_groups(
+                    keep, columns=DDL_COLUMNS))
     if not parts:
         ddl = pa.schema([("lsn", pa.int64()), ("seq", pa.int64()),
                          ("op", pa.string()), ("ddl", pa.string())]).empty_table()

@@ -1,5 +1,7 @@
 """Source protocol (§2.8): any envelope producer plugs into ReplayJob."""
 
+import time
+
 from plugin_debezium_ray.config import CaptureConfig
 from plugin_debezium_ray.pipelines.replay import ReplayJob
 from plugin_debezium_ray.sources.binlog import oracle_apply, write_binlog_segments
@@ -36,6 +38,22 @@ def test_parquet_wal_source(tmp_path):
     job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "lake"))
     res = job.run_source(ParquetWalSource(wal))
     assert res.events_seen == 500
+
+
+def test_wall_seconds_count_building_the_inputs(tmp_path):
+    """A commit's clock starts before the source builds its inputs: a
+    source whose ``envelopes()`` takes 0.5 s records at least that."""
+
+    class SlowSource(SyntheticBinlogSource):
+        def envelopes(self):
+            time.sleep(0.5)
+            return super().envelopes()
+
+    job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
+    res = job.run_source(SlowSource(200, 20, seed=9, include_snapshot=False))
+    assert res.events_seen == 200
+    assert res.metrics["wall_seconds"] >= 0.5
+    assert res.elapsed_seconds >= res.metrics["wall_seconds"]
 
 
 def test_table_source(tmp_path):

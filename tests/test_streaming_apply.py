@@ -734,6 +734,35 @@ class TestDecodeUnits:
             assert r.metrics["decode_tasks"] >= 1
             assert r.metrics["files_skipped"] == 0
 
+    def test_path_commit_plans_from_footers_once(self, tmp_path, monkeypatch):
+        """A ``run_from_paths`` commit builds no ``ray.data.read_parquet``
+        and opens each file's footer once in the driver, for its read
+        plan, DDL plan and footer skip together; each file is one decode
+        task.  A Ray upgrade that stops ``_file_reads`` from knowing the
+        engine's own datasource fails here instead of silently
+        materializing the read."""
+        import pyarrow.parquet as pq
+
+        paths = self._wal(tmp_path, 900, 3)
+        opened = []
+
+        class Counting(pq.ParquetFile):
+            def __init__(self, source, *, metadata=None, **kw):
+                if metadata is None:  # a footer read
+                    opened.append(source)
+                super().__init__(source, metadata=metadata, **kw)
+
+        def no_read_parquet(*args, **kw):
+            raise AssertionError("run_from_paths built a read_parquet")
+
+        monkeypatch.setattr(ray.data, "read_parquet", no_read_parquet)
+        monkeypatch.setattr(pq, "ParquetFile", Counting)
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
+        res = job.run_from_paths(paths)
+        assert len(opened) == len(paths) == 3
+        assert res.metrics["decode_tasks"] == len(paths)
+        assert res.events_seen == self._rows(paths) == 900
+
     def test_failed_read_task_fails_the_commit_only(self, tmp_path):
         """One read task of a session commit raises (a WAL file without
         its ``key`` column, in the middle of the list, where Ray's read
