@@ -12,10 +12,11 @@ We shard it: ordering is only required per primary key, so
      reduce is lossless and shrinks the slices a decode task returns.
   3. ``BucketMerge`` over a bucket range — one call per range and
      commit, in a plain merge task or a session's ``MergeShard``:
-     ledger-filter already-applied events, final LWW dedup, merge each
-     bucket with its prior Parquet state, write a deterministic new
-     bucket file per bucket, return one stats/lineage row per bucket
-     (ST6 metrics).
+     ledger-filter already-applied events, final LWW dedup, merge the
+     range with its buckets' prior Parquet state in one pass (one
+     concatenation, one sort by (bucket, key)), write a deterministic
+     new file per bucket as a slice of that sort, return one
+     stats/lineage row per bucket (ST6 metrics).
 
 Exactly-once under retries (SURVEY.md §7.4 #1): events ≤ ledger are
 skipped (idempotent replay) and bucket files have deterministic names
@@ -24,6 +25,7 @@ gated by the manifest commit (idempotent task retry).
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import os
 import time
@@ -69,6 +71,9 @@ APPLY_STATS_FIELDS = [
     ("fingerprint", pa.string()),
     ("path", pa.string()),
     ("apply_seconds", pa.float64()),
+    # the call's process CPU time, split over its buckets the same way:
+    # against ``apply_seconds`` it tells a starved merge from a busy one
+    ("apply_cpu_seconds", pa.float64()),
     # 1 when the bucket's prior file was read from disk, 0 when it had
     # none or its writer still held it (``BucketMerge(held=...)``)
     ("prior_files_read", pa.int64()),
@@ -86,18 +91,51 @@ def _one_chunk(col) -> pa.Array:
     return col
 
 
+def _large_schema(schema: pa.Schema) -> pa.Schema:
+    """``schema`` with its ``string`` fields widened to ``large_string``."""
+    if not any(pa.types.is_string(f.type) for f in schema):
+        return schema
+    return pa.schema(
+        [f.with_type(pa.large_string()) if pa.types.is_string(f.type) else f
+         for f in schema],
+        metadata=schema.metadata,
+    )
+
+
 def _large_strings(t: pa.Table) -> pa.Table:
     """``t`` with its ``string`` columns widened to ``large_string``: one
     string width in the lake, whichever width an input arrived in (a
     generated WAL carries ``large_string``, a row-level Ray ``filter``
     hands back ``string``)."""
-    if not any(pa.types.is_string(f.type) for f in t.schema):
-        return t
-    return t.cast(pa.schema(
-        [f.with_type(pa.large_string()) if pa.types.is_string(f.type) else f
-         for f in t.schema],
-        metadata=t.schema.metadata,
-    ))
+    schema = t.schema
+    large = _large_schema(schema)
+    return t if large is schema else t.cast(large)
+
+
+# writes the bucket files of a merge call, two at a time: pyarrow
+# releases the GIL while it encodes and writes, so one file's write
+# overlaps the next
+_WRITERS = concurrent.futures.ThreadPoolExecutor(2, thread_name_prefix="bucket-writer")
+
+
+def _write_file(t: pa.Table, path: str) -> None:
+    tmp = path + ".tmp"
+    pq.write_table(t, tmp, compression="zstd")
+    os.replace(tmp, path)  # idempotent retry: same name, same bytes
+
+
+def _conform(t: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``t`` with ``schema``'s columns, in its order and types.  A field
+    of type null (no cast reaches it) is all null in ``t``."""
+    return pa.Table.from_arrays(
+        [
+            pa.chunked_array([pa.nulls(len(t))]) if pa.types.is_null(f.type)
+            else t[f.name] if t[f.name].type == f.type
+            else t[f.name].cast(f.type)
+            for f in schema
+        ],
+        schema=schema,
+    )
 
 
 def _composite_key(t: pa.Table | dict, key_cols: tuple[str, ...]) -> np.ndarray:
@@ -329,10 +367,12 @@ class BucketMerge:
     prior lake state and write the new bucket files.  A merge task hands
     it every bucket of its range, and a ``MergeShard`` every bucket it
     drained, once per commit.  Ledger check, LWW,
-    per-bucket counters, the prior-key ``isin`` and the fingerprint hashes
-    run once over all rows; only the per-file work (read the prior file,
-    concatenate, sort, write) runs per bucket, so a file's bytes do not
-    depend on which buckets shared its call.
+    per-bucket counters, the prior-key ``isin``, the fingerprint hashes,
+    the concatenation of the priors with the upserts and the sort by
+    (bucket, key) run once over all rows; only reading a prior file and
+    writing a file run per bucket.  Each file is its bucket's slice of
+    the sort under the schema its own prior and the upserts give it, so
+    a file's bytes do not depend on which buckets shared its call.
 
     Returns one stats row per bucket written.  A row's ``apply_seconds``
     is the call's wall time split evenly over the buckets it wrote, so
@@ -389,7 +429,7 @@ class BucketMerge:
     ) -> tuple[pa.Table, dict[int, tuple[str, pa.Table]]]:
         """The stats rows, plus ``{bucket: (path, table)}`` of every file
         written, each table exactly as written (a later call's ``held``)."""
-        t0 = time.monotonic()
+        t0, c0 = time.monotonic(), time.process_time()
         # defense-in-depth ledger check (pre-filter already ran upstream;
         # a retried upstream task may resend — skipping here keeps apply
         # idempotent per event, SURVEY.md §7.4 #1).  Dropped rows are not
@@ -433,22 +473,25 @@ class BucketMerge:
         upserts = group.select(data_cols).take(pa.array(win[~deleted]))
         up_key = key[~deleted]
 
-        # prior state: each touched bucket's own file (it is the base of
-        # that bucket's output), plus one concatenation of just the key
-        # and fingerprint columns for the one-pass isin and hashing
+        # prior state: each touched bucket's own file (the base of that
+        # bucket's output), concatenated once with the upserts behind
+        # them; each row carries its bucket's index
         blist = buckets.tolist()
-        priors, from_disk = {}, []
-        for b in blist:
+        priors, from_disk, n_prior = [], [], np.zeros(nb, dtype=np.int64)
+        for i, b in enumerate(blist):
             t, read = self._read_prior(b)
             from_disk.append(int(read))
             if t is not None:
-                priors[b] = t
-        n_prior = np.array([len(priors[b]) if b in priors else 0 for b in blist])
-        # (the empty upserts slice gives the concatenation its schema
-        # when no bucket has a prior file)
-        narrow = pa.concat_tables(
-            [self._key_and_content(t) for t in (upserts.slice(0, 0), *priors.values())]
+                priors.append(t)
+                n_prior[i] = len(t)
+        schemas = self._file_schemas(priors, n_prior > 0, upserts.schema)
+        # permissive: priors of different epochs may disagree where each
+        # agrees with the upserts; each file is cast back to its schema
+        both = _large_strings(
+            pa.concat_tables([*priors, upserts], promote_options="permissive")
         )
+        n_p = int(n_prior.sum())
+        narrow = self._key_and_content(both.slice(0, n_p))
         prior_key = _composite_key(narrow, self.key_cols)
         prior_vals = _one_chunk(narrow[_FP_VALS])
         dead = pd.Index(prior_key).isin(key)  # replaced or deleted keys
@@ -458,7 +501,8 @@ class BucketMerge:
         # re-hashing the unchanged bulk (10^10-row scale); without one,
         # digest the surviving prior rows plus the upserts in full
         prior_fp = [
-            self.prior_fingerprints.get(b) if b in priors else None for b in blist
+            self.prior_fingerprints.get(b) if n_prior[i] else None
+            for i, b in enumerate(blist)
         ]
         has_fp = np.array([fp is not None for fp in prior_fp])
         row_b = np.repeat(np.arange(nb), n_prior)
@@ -474,22 +518,18 @@ class BucketMerge:
         )
         added_x = _xor_fold(lanes[:, n_hashed:], n_up)
 
-        rows, paths, written = [], [], {}
-        p_off = np.cumsum(n_prior) - n_prior
-        u_off = np.cumsum(n_up) - n_up
-        for i, b in enumerate(blist):
-            parts = [upserts.slice(int(u_off[i]), int(n_up[i]))]
-            if b in priors:
-                keep = ~dead[p_off[i] : p_off[i] + n_prior[i]]
-                parts.insert(0, priors[b].filter(pa.array(keep)))
-            # promote unifies schemas across evolution epochs: columns
-            # added since the prior commit read back as null in old rows
-            merged = pa.concat_tables(
-                [_large_strings(t) for t in parts], promote_options="default"
-            )
-            rows.append(len(merged))
-            written[b] = self._write(b, merged)
-            paths.append(written[b][0])
+        # one sort by (bucket, key) over the survivors and upserts: dead
+        # prior rows get bucket ``nb`` and sort past every kept row
+        out_b = np.concatenate([np.where(dead, nb, row_b), b_idx[win][~deleted]])
+        rows = np.bincount(out_b, minlength=nb + 1)[:nb]
+        order = pc.sort_indices(
+            pa.table([pa.array(out_b), *[both[c] for c in self.key_cols]],
+                     names=["\x00bucket", *self.key_cols]),
+            sort_keys=[("\x00bucket", "ascending"),
+                       *[(c, "ascending") for c in self.key_cols]],
+        )
+        out = both.take(order.slice(0, int(rows.sum()))).combine_chunks()
+        written = self._write(blist, out, rows, schemas)
         fps = [
             f"{(int(fp, 16) if fp is not None else 0) ^ px ^ ax:064x}"
             for fp, px, ax in zip(prior_fp, prior_x, added_x)
@@ -504,13 +544,38 @@ class BucketMerge:
             "last_lsn": lsn[last],
             "last_seq": seq[last],
             "fingerprint": fps,
-            "path": paths,
+            "path": [written[b][0] for b in blist],
             "apply_seconds": np.full(nb, (time.monotonic() - t0) / nb),
+            "apply_cpu_seconds": np.full(nb, (time.process_time() - c0) / nb),
             "prior_files_read": from_disk,
         }
         return pa.table(
             {k: pa.array(stats[k], type=typ) for k, typ in APPLY_STATS_FIELDS}
         ), written
+
+    @staticmethod
+    def _file_schemas(priors: list[pa.Table], has_prior: np.ndarray,
+                      up_schema: pa.Schema) -> list[pa.Schema]:
+        """Each bucket's file schema: its prior file's and the upserts'
+        unified as one ``concat_tables([prior, upserts])`` would (prior
+        columns first; a column added since reads back null in old rows),
+        strings widened.  One unify per distinct prior schema."""
+        up = _large_schema(up_schema)
+        unified: list[tuple[pa.Schema, pa.Schema]] = []
+        out, it = [], iter(priors)
+        for has in has_prior:
+            if not has:
+                out.append(up)
+                continue
+            ps = next(it).schema
+            hit = next((u for s, u in unified
+                        if s.equals(ps, check_metadata=True)), None)
+            if hit is None:
+                hit = pa.unify_schemas([_large_schema(ps), up],
+                                       promote_options="default")
+                unified.append((ps, hit))
+            out.append(hit)
+        return out
 
     def _read_prior(self, bucket: int) -> tuple[pa.Table | None, bool]:
         """The bucket's committed file under the current column names (None
@@ -535,9 +600,16 @@ class BucketMerge:
                 prior = prior.rename_columns(new_names)
         return prior, read
 
-    def _write(self, bucket: int, merged: pa.Table) -> tuple[str, pa.Table]:
-        """Write one bucket file, rows sorted by key; returns its path and
-        the table exactly as written (one chunk per column).
+    def _write(self, blist: list[int], out: pa.Table, rows: np.ndarray,
+               schemas: list[pa.Schema]) -> dict[int, tuple[str, pa.Table]]:
+        """Write each bucket's rows of ``out`` (sorted by bucket, then
+        key) as its file; returns ``{bucket: (path, table)}``, each table
+        exactly as written.
+
+        A file is a zero-copy slice of ``out``, cut to its bucket's own
+        schema where that differs from the range's, so its bytes do not
+        depend on which buckets shared the call.  The encodes and writes
+        overlap on ``_WRITERS`` (pyarrow releases the GIL while writing).
 
         Deterministic row order → byte-stable files for the rerun test.
         Arrow's multi-key sort (C++ kernels) sorts each key column in
@@ -547,16 +619,22 @@ class BucketMerge:
         guaranteed; files written by older code are value-equal but not
         byte-comparable.  Keys are unique post-merge, so the order (and
         the order-independent fingerprint) is total and deterministic."""
-        order = pc.sort_indices(
-            merged, sort_keys=[(c, "ascending") for c in self.key_cols]
-        )
-        path = os.path.join(self.out_dir, self.commit_id, f"bucket={bucket:05d}.parquet")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        out = merged.take(order).combine_chunks()
-        pq.write_table(out, tmp, compression="zstd")
-        os.replace(tmp, path)  # idempotent retry: same name, same bytes
-        return path, out
+        out_dir = os.path.join(self.out_dir, self.commit_id)
+        os.makedirs(out_dir, exist_ok=True)
+        written, jobs, whole = {}, [], out.schema
+        for b, off, n, schema in zip(blist, np.cumsum(rows) - rows, rows, schemas):
+            t = out.slice(int(off), int(n))
+            if not schema.equals(whole, check_metadata=True):
+                t = _conform(t, schema)
+            path = os.path.join(out_dir, f"bucket={b:05d}.parquet")
+            written[b] = path, t
+            jobs.append(_WRITERS.submit(_write_file, t, path))
+        # every write ends before a failed one raises: no write of this
+        # call outlives it
+        concurrent.futures.wait(jobs)
+        for job in jobs:
+            job.result()
+        return written
 
     def _content(self, t: pa.Table) -> pa.Array:
         """The fingerprinted content column as strings ("" for null or a
@@ -567,8 +645,8 @@ class BucketMerge:
         return pa.array([""] * len(t), pa.string())
 
     def _key_and_content(self, t: pa.Table) -> pa.Table:
-        """The key columns (as strings) and fingerprinted content of one
-        prior file: one schema for every epoch, so they concatenate."""
+        """The key columns (as strings) and fingerprinted content of the
+        concatenated prior rows, whatever epoch each was written in."""
         return pa.table(
             {
                 **{c: pc.cast(t[c], pa.string()) for c in self.key_cols},

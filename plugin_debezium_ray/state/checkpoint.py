@@ -223,6 +223,7 @@ def build_manifest(
     total_applied = 0
     total_seen = 0
     prior_files_read = 0
+    merge_seconds = merge_cpu_seconds = 0.0
     for r in stats_rows:
         if r.get("bucket") is None:
             continue
@@ -243,6 +244,8 @@ def build_manifest(
         total_applied += int(r["events_applied"] or 0)
         total_seen += int(r["events_seen"] or 0)
         prior_files_read += int(r.get("prior_files_read") or 0)
+        merge_seconds += float(r["apply_seconds"] or 0.0)
+        merge_cpu_seconds += float(r.get("apply_cpu_seconds") or 0.0)
     return {
         "version": version,
         "connector_id": connector_id,
@@ -258,6 +261,11 @@ def build_manifest(
             # prior bucket files the merge read from disk (a push-route
             # shard merges over the tables it wrote the commit before)
             "prior_files_read": prior_files_read,
+            # wall and process CPU time of the merge calls, summed over
+            # the merge homes: CPU well under wall is a merge that waited
+            # (its two writer threads can lift CPU above wall)
+            "merge_seconds": round(merge_seconds, 4),
+            "merge_cpu_seconds": round(merge_cpu_seconds, 4),
             **(extra_metrics or {}),
         },
     }

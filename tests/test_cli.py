@@ -69,6 +69,12 @@ class TestCli:
         assert all(b["last_lsn"] is not None for b in buckets
                    if b["events_seen"])
         assert all(b["fingerprint"] for b in buckets)
+        # the commit's merge time, wall and process CPU, summed over its
+        # buckets' stats rows
+        m = lin["metrics"]
+        assert m["merge_seconds"] > 0 and m["merge_cpu_seconds"] > 0
+        assert m["merge_seconds"] == pytest.approx(
+            sum(b["apply_seconds"] for b in buckets), abs=1e-3)
 
         vac = run_cli(capsys, "vacuum", "--lake", lake, "--dry-run")
         assert vac["deleted_files"] == 0  # single commit: nothing to GC

@@ -158,6 +158,21 @@ class TestCheckpoint:
         assert m["metrics"]["events_seen"] == 7
         assert m["parent"] == 1
 
+    def test_build_manifest_sums_merge_time(self):
+        # the merge calls' wall and process CPU time, summed over the
+        # stats rows of every merge home; a row without a CPU figure
+        # (written before it existed) adds nothing
+        row = {"rows": 1, "events_seen": 1, "events_applied": 1,
+               "last_lsn": 1, "last_seq": 0, "fingerprint": "ab",
+               "path": "/p", "apply_seconds": 0.1}
+        stats = [{**row, "bucket": 0, "apply_cpu_seconds": 0.04},
+                 {**row, "bucket": 1, "apply_cpu_seconds": 0.04},
+                 {**row, "bucket": 2}]
+        m = build_manifest(version=1, connector_id=None, stats_rows=stats,
+                           parent=None, schema_snapshot={})
+        assert m["metrics"]["merge_seconds"] == 0.3
+        assert m["metrics"]["merge_cpu_seconds"] == 0.08
+
     def test_fingerprint_scheme_gates_incremental_xor(self, tmp_path):
         # A manifest committed under a different (or pre-versioned)
         # fingerprint scheme must NOT feed the incremental XOR update —

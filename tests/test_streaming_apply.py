@@ -994,7 +994,7 @@ class TestMergeKernel:
         def norm(rows):
             return [
                 {**{k: v for k, v in r.items()
-                    if k not in ("apply_seconds", "path")},
+                    if k not in ("apply_seconds", "apply_cpu_seconds", "path")},
                  "sha": _file_sha(r["path"])}
                 for r in rows
             ]
@@ -1005,6 +1005,90 @@ class TestMergeKernel:
         for r in one:
             cols = pa.parquet.read_schema(r["path"]).names
             assert "lang" not in cols and "language" in cols
+
+    def test_each_file_keeps_its_own_schema(self, tmp_path):
+        """A range whose buckets' files have different schemas: a prior
+        with a column the upserts lack, a fresh bucket and a bucket that
+        gets only deletes.  One call writes each file under the schema a
+        call of its own would give it, not under the range's union."""
+        import numpy as np
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        paths, fps = {}, {}
+        self._commit(tmp_path / "lake", "v000001",
+                     _in_buckets(_projected(np.arange(0, 600)), [0, 1, 2]),
+                     paths, fps)
+        # bucket 3's prior carries a column the next upserts lack
+        self._commit(tmp_path / "lake", "v000002",
+                     _in_buckets(_projected(np.arange(600, 1200),
+                                            added_columns=EPOCH_1["added_columns"]),
+                                 [3]),
+                     paths, fps)
+        assert set(paths) == {0, 1, 2, 3}
+
+        t = _projected(np.arange(1200, 1800))
+        b = t["_bucket"].to_numpy()
+        deleted = t["deleted"].to_numpy(zero_copy_only=False)
+        # 1 gets only deletes; 6 is fresh
+        t = _in_buckets(t.filter(pa.array((b != 1) | deleted)), [0, 1, 3, 6])
+        assert set(np.unique(t["_bucket"].to_numpy())) == {0, 1, 3, 6}
+
+        kw = dict(prior_paths=paths, prior_fingerprints=fps)
+        one = self._merge(tmp_path / "one", "v000003", **kw)(t).to_pylist()
+        per = [
+            r
+            for bb in (0, 1, 3, 6)
+            for r in self._merge(tmp_path / "per", "v000003", **kw)(
+                _in_buckets(t, [bb])
+            ).to_pylist()
+        ]
+        assert [r["bucket"] for r in one] == [0, 1, 3, 6]
+        assert [r["upserts"] for r in one if r["bucket"] == 1] == [0]
+
+        def norm(rows):
+            return [
+                {**{k: v for k, v in r.items()
+                    if k not in ("apply_seconds", "apply_cpu_seconds", "path")},
+                 "sha": _file_sha(r["path"]),
+                 "schema": pq.read_schema(r["path"])}
+                for r in rows
+            ]
+
+        assert norm(one) == norm(per)
+        has_license = {r["bucket"]: "license" in pq.read_schema(r["path"]).names
+                       for r in one}
+        assert has_license == {0: False, 1: False, 3: True, 6: False}
+
+    def test_one_sort_and_one_directory_per_call(self, tmp_path, monkeypatch):
+        """A call over 32 buckets sorts once and makes its directory
+        once: the per-bucket work is the prior read and the file write."""
+        import numpy as np
+        import os
+
+        import pyarrow.compute as pc
+
+        paths, fps = {}, {}
+        self._commit(tmp_path / "lake", "v000001",
+                     _projected(np.arange(0, 2000), num_buckets=32, n_keys=400),
+                     paths, fps)
+        assert len(paths) == 32
+        calls = {"sort_indices": 0, "makedirs": 0}
+
+        def spy(name, fn):
+            def counted(*a, **k):
+                calls[name] += 1
+                return fn(*a, **k)
+            return counted
+
+        monkeypatch.setattr(pc, "sort_indices", spy("sort_indices", pc.sort_indices))
+        monkeypatch.setattr(os, "makedirs", spy("makedirs", os.makedirs))
+        rows = self._merge(tmp_path / "lake", "v000002", prior_paths=paths,
+                           prior_fingerprints=fps)(
+            _projected(np.arange(2000, 3000), num_buckets=32, n_keys=400)
+        ).to_pylist()
+        assert len(rows) == 32 and all(r["prior_files_read"] for r in rows)
+        assert calls == {"sort_indices": 1, "makedirs": 1}
 
     def test_bucket_wholly_below_ledger_writes_nothing(self, tmp_path):
         """A retried resend of already-applied events: a bucket whose
