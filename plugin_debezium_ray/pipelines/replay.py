@@ -23,11 +23,15 @@ Every commit runs ONE core, ``run``:
               which opened each footer once when the read was built: the
               DDL plan and footer skip reuse those footers, and no Ray
               task runs to plan the read
-    route     ``_decode_unit`` tasks decode each unit (decode + ledger
-              filter + LWW pre-reduce) and split its rows by bucket
-              range; each range's merge home merges its buckets with
-              ``BucketMerge`` (per-bucket merge + deterministic Parquet
-              write) — ``pipelines/streaming_apply.route``
+    route     the units are cut into row-balanced lanes of contiguous
+              units, about one per CPU; one ``_decode_unit`` task per
+              lane decodes its units in order (decode + ledger filter +
+              LWW pre-reduce), reading the next while it projects the
+              current, and splits the lane's rows by bucket range once;
+              each range's merge home merges all its buckets in one
+              pass of ``BucketMerge`` (one sort by (bucket, key), each
+              bucket file a slice, deterministic Parquet writes) —
+              ``pipelines/streaming_apply.route``
     _commit   stats rows → manifest → put-if-absent manifest create
 
 There is one route and two merge homes.  With no session open, one plain
@@ -113,8 +117,9 @@ class _Prepared:
     #: this attempt's data directory name, ``v{N:06d}-{8 hex}``
     commit_id: str
     reg: SchemaRegistry
-    #: the decode units, ``(ray_remote_args, ReadTask or block ref)``;
-    #: none under NO_DATA (commit the schema only)
+    #: the decode units, ``(ray_remote_args, ReadTask or block ref,
+    #: rows)`` (rows None when unknown); none under NO_DATA (commit the
+    #: schema only)
     units: list
     data_dir: str
     fingerprint_col: str | None
@@ -161,15 +166,16 @@ def _narrow(t: pa.Table) -> pa.Table:
 @ray.remote
 def _scan_block(t: pa.Table) -> tuple:
     """A materialized block's schema, None when it holds no row (a row
-    filter can leave a block without columns), and its DDL rows
-    (``DDL_COLUMNS``; None when it has no ``ddl`` column)."""
+    filter can leave a block without columns), its DDL rows
+    (``DDL_COLUMNS``; None when it has no ``ddl`` column) and its row
+    count."""
     import pyarrow.compute as pc
 
     sch = t.schema if t.num_rows else None
     if "ddl" not in t.column_names:
-        return sch, None
+        return sch, None, t.num_rows
     return sch, t.select(DDL_COLUMNS).filter(
-        pc.fill_null(pc.equal(t["op"], OP_DDL), False))
+        pc.fill_null(pc.equal(t["op"], OP_DDL), False)), t.num_rows
 
 
 class ReplayJob:
@@ -357,11 +363,11 @@ class ReplayJob:
             blocks = ds.map_batches(_narrow, batch_format="pyarrow",
                                     batch_size=None).materialize().to_arrow_refs()
             scans = ray.get([_scan_block.remote(b) for b in blocks])
-            units = [({}, b) for b, (sch, _) in zip(blocks, scans) if sch]
+            units = [({}, b, n) for b, (sch, _, n) in zip(blocks, scans) if sch]
             metrics.update(files_skipped=0, rows_skipped=0)
             sch = (reads[0].schema if reads
-                   else next((sch for sch, _ in scans if sch), None))
-            found = [t for _, t in scans if t is not None]
+                   else next((sch for sch, _, _ in scans if sch), None))
+            found = [t for _, t, _ in scans if t is not None]
             if ddl is None and ddl_source is None and found:
                 ddl = pa.concat_tables(found, promote_options="permissive")
         base_fields = [] if prior or sch is None else [
@@ -998,8 +1004,9 @@ def _file_reads(ds: "ray.data.Dataset") -> "list[_FileRead] | None":
 
 def _read_units(reads: list, skipped: dict, metrics: dict) -> list:
     """The decode units of file reads: each read's read tasks, one per
-    file, read after read, less every task whose input files are all in
-    ``skipped`` (the footer skip); the files and rows it drops are
+    file, read after read, each with the row count its metadata gives
+    (None when it has none), less every task whose input files are all
+    in ``skipped`` (the footer skip); the files and rows it drops are
     counted into ``metrics``."""
     units, files_skipped, rows_skipped = [], 0, 0
     for read in reads:
@@ -1009,6 +1016,7 @@ def _read_units(reads: list, skipped: dict, metrics: dict) -> list:
                 files_skipped += len(files)
                 rows_skipped += sum(skipped[f] for f in files)
             else:
-                units.append((read.ray_remote_args, task))
+                units.append((read.ray_remote_args, task,
+                              task.metadata.num_rows))
     metrics.update(files_skipped=files_skipped, rows_skipped=rows_skipped)
     return units

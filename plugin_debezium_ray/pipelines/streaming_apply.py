@@ -1,12 +1,17 @@
-"""The apply route: decode tasks, then one merge home per bucket range.
+"""The apply route: decode lanes, then one merge home per bucket range.
 
 Every commit runs ``ReplayJob.run``: prepare → route → commit
 (``pipelines/replay.py``).  ``_prepare`` cuts the input into decode
 units: a file read's own ``ReadTask`` objects, or the blocks of any
-other input, materialized once.  ``route`` runs one plain Ray task per
-unit (``_decode_unit``: decode, ledger filter, LWW pre-reduce), with at
-most the cluster's CPU count in flight and no Ray Data execution.  A
-task splits its kept rows by the contiguous bucket range that owns them
+other input, materialized once, each with its row count when known.
+``route`` cuts the units into lanes (``_lanes``): contiguous runs of
+about the same number of rows, one per CPU, none past ``COMPACT_ROWS``
+rows unless it is one unit.  It runs one plain Ray task per lane
+(``_decode_unit``: decode, ledger filter, LWW pre-reduce, unit after
+unit, the next unit read while the current one projects), with at most
+the cluster's CPU count in flight and no Ray Data execution, so a
+worker does not wait on the driver between units.  A task splits its
+lane's kept rows once by the contiguous bucket range that owns them
 (``_shard_table``) and returns one slice per range.  Each range has a
 merge home that calls ``BucketMerge`` once over all of its slices:
 
@@ -24,9 +29,10 @@ the max ``(lsn, seq)`` event, so slices may arrive in any order (events
 at-or-below the ledger are dropped again at the merge).  Exactly-once
 counting under Ray task retries comes from a single sender, as Delta
 Lake gets idempotent commits from a single committer: a decode task is
-pure, and only the driver hands its slices on, once per unit, from its
-final attempt.  Rows that really repeat in the input (a file listed
-twice, a self-union) are separate units and count each time.  A shard
+pure, and only the driver hands its slices on, once per lane, from its
+final attempt (a retried lane decodes all of its units again).  Rows
+that really repeat in the input (a file listed twice, a self-union) are
+separate units and count each time, in one lane or in two.  A shard
 winner-reduces its buffer past ``COMPACT_ROWS`` rows.
 
 A restart costs its footers, not its log: when the ledger has a mark for
@@ -44,16 +50,18 @@ writes under its own ``data/v{N}-{hex}/``, so any other path — a lost
 pool — is read from disk, and counted in ``prior_files_read``.
 
 Every manifest records ``registry_seconds``, ``decode_seconds``,
-``finalize_seconds``, ``decode_tasks``, ``files_skipped`` and
-``rows_skipped``; a session commit adds ``streaming_apply``,
-``streaming_session_commit`` and ``num_shards`` (0 while no pool has
-started).  At cluster scale each shard is one actor (pin ``num_shards``
-≈ total cores; Ray spreads them across nodes), and a task's slices go
-from its return objects to a merge home without passing the driver.
+``finalize_seconds``, ``decode_tasks`` (units), ``decode_lanes`` (Ray
+decode tasks), ``files_skipped`` and ``rows_skipped``; a session commit
+adds ``streaming_apply``, ``streaming_session_commit`` and
+``num_shards`` (0 while no pool has started).  At cluster scale each
+shard is one actor (pin ``num_shards`` ≈ total cores; Ray spreads them
+across nodes), and a task's slices go from its return objects to a
+merge home without passing the driver.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import math
 import time
@@ -101,24 +109,80 @@ def make_decode_push(proj, shards, shard_of: np.ndarray):
     return decode_and_push
 
 
-@ray.remote
-def _decode_unit(proj, shard_of: np.ndarray, n_shards: int, task,
-                 batch_size: int) -> list:
-    """One decode task, pure: the rows of the unit ``task`` — a
-    ``ReadTask`` or one materialized block — through the projection
-    ``proj`` ``batch_size`` rows at a time, split by owning shard.
-    Returns ``n_shards + 1`` objects (submit with ``num_returns``): the
-    per-shard kept-row counts, then one slice per shard (None when the
-    unit kept no row)."""
+#: buffered rows past which a shard winner-reduces what it holds; also
+#: the most input rows ``_lanes`` gives one decode task of several units
+COMPACT_ROWS = 400_000
+
+# reads a decode task's next unit while the task projects the current
+# one: pyarrow releases the GIL while it reads and decodes parquet
+_READER = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="unit-reader")
+
+
+def _fold(t: pa.Table, key_cols: tuple) -> pa.Table:
+    """``t``'s LWW winner per key, its ``_weight`` the SUM of the rows it
+    subsumes (rows here are already pre-reduced, so counts would
+    under-report)."""
+    win, weights = _winners_and_weights(
+        _composite_key(t, key_cols), t["lsn"].to_numpy(),
+        t["seq"].to_numpy(), t[WEIGHT_COL].to_numpy(),
+    )
+    out = t.take(pa.array(win))
+    i = out.column_names.index(WEIGHT_COL)
+    return out.set_column(i, WEIGHT_COL, pa.array(weights, type=pa.int64()))
+
+
+def _read(unit) -> list[pa.Table]:
+    """A unit's rows: a ``ReadTask``'s blocks, read, or one materialized
+    block."""
     from ray.data.block import BlockAccessor
 
-    outs = []
-    for block in task() if callable(task) else [task]:
-        t = BlockAccessor.for_block(block).to_arrow()
-        for lo in range(0, t.num_rows, batch_size):
-            out = proj(t.slice(lo, batch_size))
-            if len(out):
-                outs.append(out)
+    return [BlockAccessor.for_block(b).to_arrow()
+            for b in (unit() if callable(unit) else [unit])]
+
+
+def _read_ahead(units: tuple):
+    """Each of ``units``' tables in turn; while the caller works on one
+    unit, ``_READER`` reads the next.  A caller that stops early waits
+    out a read already running, so the reader is idle for the next
+    task."""
+    ahead = None
+    try:
+        for i, unit in enumerate(units):
+            tables = ahead.result() if ahead else _read(unit)
+            ahead = (_READER.submit(_read, units[i + 1])
+                     if i + 1 < len(units) else None)
+            yield tables
+            del tables
+    finally:
+        if ahead is not None and not ahead.cancel():
+            ahead.exception()
+
+
+@ray.remote
+def _decode_unit(proj, shard_of: np.ndarray, n_shards: int, key_cols: tuple,
+                 compact_rows: int, batch_size: int, *units) -> list:
+    """One decode task, pure: the rows of a lane's ``units`` — each a
+    ``ReadTask`` or one materialized block, top-level arguments so that
+    Ray resolves a block's ref — in order, through the projection
+    ``proj`` ``batch_size`` rows at a time, then split once by owning
+    shard.  While a unit projects, the next is read (``_read_ahead``).
+    The kept rows are winner-reduced (``_fold``) whenever they pass
+    ``compact_rows``.  Returns ``n_shards + 1`` objects (submit with
+    ``num_returns``): the per-shard kept-row counts, then one slice per
+    shard (None when the lane kept no row)."""
+    outs, kept = [], 0
+    for tables in _read_ahead(units):
+        for t in tables:
+            for lo in range(0, t.num_rows, batch_size):
+                out = proj(t.slice(lo, batch_size))
+                if len(out):
+                    outs.append(out)
+                    kept += len(out)
+        tables = t = None  # drop the unit's blocks before the next
+        if kept > compact_rows:
+            outs = [_fold(pa.concat_tables(outs, promote_options="default"),
+                          key_cols)]
+            kept = len(outs[0])
     if not outs:
         return [[0] * n_shards] + [None] * n_shards
     slices = _split(pa.concat_tables(outs, promote_options="default"),
@@ -126,8 +190,29 @@ def _decode_unit(proj, shard_of: np.ndarray, n_shards: int, task,
     return [[part.num_rows for part in slices], *slices]
 
 
-#: buffered rows past which a shard winner-reduces what it holds
-COMPACT_ROWS = 400_000
+def _lanes(units: list, window: int) -> list[tuple[dict, list]]:
+    """``units`` (``(ray_remote_args, unit, rows)``, rows None when
+    unknown) cut into decode lanes, ``(ray_remote_args, [unit, ...])``:
+    contiguous runs in plan order, each closed once it holds
+    ⌈known rows / ``window``⌉ rows, so there are at most ``window`` of
+    them, and before a unit would take it past ``COMPACT_ROWS`` rows.  A
+    unit of unknown size is a lane of its own; a unit of 0 rows is in
+    none; units with other Ray options never share a lane."""
+    total = sum(rows or 0 for _, _, rows in units)
+    target = max(1, -(-total // window))
+    lanes: list[tuple[dict, list]] = []
+    open_rows = None  # the last lane's rows, None once it is closed
+    for args, unit, rows in units:
+        if rows == 0:
+            continue
+        if (rows is None or open_rows is None or args != lanes[-1][0]
+                or open_rows + rows > COMPACT_ROWS):
+            lanes.append((args, []))
+            open_rows = 0
+        lanes[-1][1].append(unit)
+        open_rows = (None if rows is None or open_rows + rows >= target
+                     else open_rows + rows)
+    return lanes
 
 
 @ray.remote
@@ -155,7 +240,7 @@ class MergeShard:
     def ingest(self, t: pa.Table) -> None:
         """Accept one pre-reduced slice (``project_for_apply`` output, so
         it carries ``_weight``).  The route has only the driver call it,
-        once per decode unit, with the slice the unit's final attempt
+        once per decode lane, with the slice the lane's final attempt
         returned: a Ray retry of a decode task cannot count an event
         twice (SURVEY.md §7.4 #1), while rows that really repeat in the
         input are separate units and count each time."""
@@ -181,16 +266,8 @@ class MergeShard:
         }
 
     def _compact(self) -> None:
-        merged = pa.concat_tables(self.tables, promote_options="default")
-        # winners carry the SUM of subsumed rows' weights (rows arriving
-        # here are already pre-reduced, so counts would under-report)
-        win, weights = _winners_and_weights(
-            _composite_key(merged, self.key_cols), merged["lsn"].to_numpy(),
-            merged["seq"].to_numpy(), merged[WEIGHT_COL].to_numpy(),
-        )
-        out = merged.take(pa.array(win))
-        i = out.column_names.index(WEIGHT_COL)
-        out = out.set_column(i, WEIGHT_COL, pa.array(weights, type=pa.int64()))
+        out = _fold(pa.concat_tables(self.tables, promote_options="default"),
+                    self.key_cols)
         self.tables = [out]
         self.buffered = len(out)
 
@@ -265,11 +342,12 @@ def _make_shard_pool(cfg: CaptureConfig, shard_of: np.ndarray,
 @ray.remote
 def _merge_range(key_cols: tuple, merge_kw: dict, *parts: pa.Table) -> list[dict]:
     """One bucket range's merge home when no session is open: its slices
-    from every decode unit, merged in ONE ``BucketMerge`` call; returns
+    from every decode lane, merged in ONE ``BucketMerge`` call; returns
     the stats rows.  Memory bound: a range's decoded slices stay in the
     object store until this task merges them, as a hash shuffle's
     blocks would, and Ray spills either past the store's capacity.  A
-    slice holds at most one row per key of its unit (pre-reduced)."""
+    slice holds at most one row per key of each batch its lane projected
+    (pre-reduced)."""
     return BucketMerge(key_cols, **merge_kw)(
         pa.concat_tables(parts, promote_options="default")).to_pylist()
 
@@ -310,13 +388,14 @@ def route(prep, session: "StreamingSession | None" = None
     commit that keeps no row merges nothing and waits on no home."""
     home = session or _MergeTasks(prep.cfg)
     t_decode = time.monotonic()
-    kept = _decode(prep, home)
+    kept, lanes = _decode(prep, home)
     t_final = time.monotonic()
     stats = home._merge(prep.merge_kw()) if kept else []
     metrics = {
         "decode_seconds": round(t_final - t_decode, 4),
         "finalize_seconds": round(time.monotonic() - t_final, 4) if kept else 0,
         "decode_tasks": len(prep.units),
+        "decode_lanes": lanes,
     }
     if session is not None:
         session.commits += 1
@@ -328,19 +407,21 @@ def route(prep, session: "StreamingSession | None" = None
     return [r for rows in stats for r in rows], metrics
 
 
-def _decode(prep, home) -> int:
-    """Run one ``_decode_unit`` task per ``(ray_remote_args, unit)`` of
-    ``prep.units``, at most ``home._window`` in flight, with the commit's
-    projection shipped once, and hand each finished task's non-empty
-    slices to ``home._take``; returns the rows kept, once the home owns
-    every slice.  On the first failed task or ingest the driver submits
-    nothing more, waits out what is in flight, has the home ``_discard``
-    this commit's rows, and raises: a session's next commit applies none
-    of them."""
+def _decode(prep, home) -> tuple[int, int]:
+    """Cut ``prep.units`` into lanes (``_lanes``: at most
+    ``home._window`` of them unless a lane would pass ``COMPACT_ROWS``)
+    and run one ``_decode_unit`` task per lane, at most ``home._window``
+    in flight, with the commit's projection shipped once; hand each
+    finished task's non-empty slices to ``home._take``.  Returns the
+    rows kept, once the home owns every slice, and the lane count.  On
+    the first failed task or ingest the driver submits nothing more,
+    waits out what is in flight, has the home ``_discard`` this commit's
+    rows, and raises: a session's next commit applies none of them."""
     proj = ray.put(prep.project())
     shard_of = home.shard_of
     n_shards = int(shard_of[-1]) + 1
-    todo = list(reversed(prep.units))
+    todo = list(reversed(_lanes(prep.units, home._window)))
+    lanes = len(todo)
     # in flight: a decode task's counts ref -> its slice refs, and
     # an ingest's ref -> None
     pending: dict = {}
@@ -348,10 +429,11 @@ def _decode(prep, home) -> int:
     try:
         while todo or pending:
             if todo and decoding < home._window:
-                args, unit = todo.pop()
+                args, units = todo.pop()
                 counts, *slices = _decode_unit.options(
                     num_returns=n_shards + 1, **args
-                ).remote(proj, shard_of, n_shards, unit, prep.cfg.batch_size)
+                ).remote(proj, shard_of, n_shards, prep.cfg.key_cols,
+                         COMPACT_ROWS, prep.cfg.batch_size, *units)
                 pending[counts] = slices
                 decoding += 1
                 continue
@@ -369,7 +451,7 @@ def _decode(prep, home) -> int:
             ray.wait(list(pending), num_returns=len(pending))
         home._discard()
         raise
-    return rows
+    return rows, lanes
 
 
 class StreamingSession:

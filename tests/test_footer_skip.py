@@ -84,8 +84,9 @@ def _base(tmp_path, data=None) -> tuple[ReplayJob, list[str]]:
 
 @pytest.fixture
 def submitted(monkeypatch):
-    """The input files of every decode task the driver submits, in
-    order, as lists of file basenames."""
+    """The input files of every unit of the decode tasks the driver
+    submits, in order, as lists of file basenames: a task decodes a
+    lane of units."""
     units = []
     real = sa._decode_unit
 
@@ -93,10 +94,12 @@ def submitted(monkeypatch):
         def options(self, **kw):
             opts = real.options(**kw)
 
-            def remote(proj, shard_of, n_shards, task, batch_size):
-                units.append([os.path.basename(f)
-                              for f in task.metadata.input_files])
-                return opts.remote(proj, shard_of, n_shards, task, batch_size)
+            def remote(*args):
+                # the lane's units follow the six fixed arguments
+                units.extend([os.path.basename(f)
+                              for f in task.metadata.input_files]
+                             for task in args[6:])
+                return opts.remote(*args)
 
             return types.SimpleNamespace(remote=remote)
 

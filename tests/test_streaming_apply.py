@@ -561,7 +561,8 @@ class TestOneApplySurface:
         from plugin_debezium_ray.pipelines.multi_table import replay_multi_table
 
         keys = {"registry_seconds", "decode_seconds", "finalize_seconds",
-                "decode_tasks", "files_skipped", "rows_skipped"}
+                "decode_tasks", "decode_lanes", "files_skipped",
+                "rows_skipped"}
         seg = wal_read(tmp_path, binlog(300, 40, seed=SEED))
         plain = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "plain"))
         session = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "session"))
@@ -573,6 +574,7 @@ class TestOneApplySurface:
         for res in results:
             assert keys <= set(res.metrics), sorted(keys - set(res.metrics))
             assert res.metrics["decode_tasks"] >= 1
+            assert 1 <= res.metrics["decode_lanes"] <= res.metrics["decode_tasks"]
         lineage = cmd_lineage(argparse.Namespace(lake=plain.table_dir))
         assert keys <= set(lineage["metrics"])
 
@@ -824,14 +826,18 @@ class TestDecodeUnits:
         """A read task may yield several blocks: the unit's per-shard
         counts and slices hold every projected row of all of them, each
         in the shard that owns its bucket.  A materialized block is a
-        unit of its own."""
+        unit of its own.  A lane of both holds the rows of each, in
+        one split."""
         import numpy as np
         import pyarrow as pa
         import pyarrow.compute as pc
         from ray.data.block import BlockMetadata
         from ray.data.datasource import ReadTask
 
-        from plugin_debezium_ray.pipelines.streaming_apply import _decode_unit
+        from plugin_debezium_ray.pipelines.streaming_apply import (
+            COMPACT_ROWS,
+            _decode_unit,
+        )
 
         def block(lo, hi):
             x = np.arange(lo, hi)
@@ -847,7 +853,12 @@ class TestDecodeUnits:
             return t.filter(pc.equal(pc.bit_wise_and(t["x"], 1), 0))
 
         shard_of = np.arange(8) // 4
-        counts, *slices = _decode_unit._function(proj, shard_of, 2, unit, 100)
+
+        def decode(*lane):
+            return _decode_unit._function(proj, shard_of, 2, ("x",),
+                                          COMPACT_ROWS, 100, *lane)
+
+        counts, *slices = decode(unit)
         assert batches == [100, 100, 50, 100, 20]
         assert counts == [len(s) for s in slices] == [93, 92]
         assert sorted(x for s in slices for x in s["x"].to_pylist()) \
@@ -855,10 +866,18 @@ class TestDecodeUnits:
         for s, part in enumerate(slices):
             assert set(shard_of[part["_bucket"].to_numpy()]) == {s}
         batches.clear()
-        counts, *slices = _decode_unit._function(proj, shard_of, 2, blocks[1], 100)
+        counts, *slices = decode(blocks[1])
         assert batches == [100, 20]
         assert sorted(x for s in slices for x in s["x"].to_pylist()) \
             == list(range(250, 370, 2))
+        batches.clear()
+        counts, *slices = decode(unit, blocks[1])
+        assert batches == [100, 100, 50, 100, 20, 100, 20]
+        assert counts == [len(s) for s in slices] == [93 + 30, 92 + 30]
+        assert sorted(x for s in slices for x in s["x"].to_pylist()) \
+            == sorted([*range(0, 370, 2), *range(250, 370, 2)])
+        for s, part in enumerate(slices):
+            assert set(shard_of[part["_bucket"].to_numpy()]) == {s}
 
     def test_retried_decode_task_counts_each_event_once(
         self, tmp_path, monkeypatch
@@ -899,6 +918,153 @@ class TestDecodeUnits:
             for k, r in oracle_apply(1200, 120, seed=SEED,
                                      include_snapshot=False).items()
         }
+
+    def test_retried_lane_counts_each_event_once(self, tmp_path, monkeypatch):
+        """One decode task decodes a lane of three files, and its worker
+        dies on the first attempt while projecting the second: Ray
+        re-runs the whole lane, and the driver ingests only the final
+        attempt's slices, so each event counts once."""
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        from plugin_debezium_ray.pipelines import replay
+
+        paths = self._wal(tmp_path, 1200, 4)
+        lsns = [pq.read_table(p, columns=["lsn"])["lsn"] for p in paths]
+        second = pc.min(lsns[2]).as_py()
+        assert pc.max(lsns[1]).as_py() < second  # files are lsn-ordered
+        died = str(tmp_path / "died")
+        real = replay._Prepared.project
+
+        def dying_once(prep):
+            proj = real(prep)
+
+            def project(t):
+                if (pc.min(t["lsn"]).as_py() >= second
+                        and not os.path.exists(died)):
+                    open(died, "w").close()
+                    os._exit(1)
+                return proj(t)
+
+            return project
+
+        job = ReplayJob(CaptureConfig(num_buckets=8, batch_size=100),
+                        str(tmp_path / "lake"))
+        with job.streaming_session(num_shards=2) as session:
+            assert job.run(self._read(paths[:1])).version == 1
+            session._window = 1  # every unit in one lane
+            monkeypatch.setattr(replay._Prepared, "project", dying_once)
+            res = job.run(self._read(paths[1:]))
+        assert os.path.exists(died)
+        assert (res.metrics["decode_tasks"], res.metrics["decode_lanes"]) == (3, 1)
+        assert res.version == job.ckpt.current_version() == 2
+        assert res.events_seen == self._rows(paths[1:]) == 900
+        assert _state(job) == {
+            k: hashlib.sha256(r["content"].encode()).hexdigest()
+            for k, r in oracle_apply(1200, 120, seed=SEED,
+                                     include_snapshot=False).items()
+        }
+
+    def test_one_lane_over_a_repeated_file_counts_it_twice(self, tmp_path):
+        """``[f, f]`` decoded in one lane holds each event of ``f`` twice,
+        as two lanes do: the same count and the same bucket files."""
+        f = self._wal(tmp_path, 300, 1)[0]
+        sort = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "sort"))
+        want = sort.run(self._read([f, f]))
+        job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lane"))
+        with job.streaming_session(num_shards=2) as session:
+            session.shards  # the pool starts with the session's CPU share
+            session._window = 1
+            got = job.run(self._read([f, f]))
+        assert want.metrics["decode_lanes"] == 2
+        assert (got.metrics["decode_tasks"], got.metrics["decode_lanes"]) == (2, 1)
+        assert got.events_seen == want.events_seen == 600
+        assert _bucket_hashes(job) == _bucket_hashes(sort)
+
+
+class TestDecodeLanes:
+    """``_lanes`` (no Ray): a commit's units cut into the contiguous,
+    row-balanced runs that one decode task each decodes."""
+
+    @staticmethod
+    def _units(*rows, args=None):
+        return [(args or {}, f"u{i}", n) for i, n in enumerate(rows)]
+
+    @staticmethod
+    def _rows(units, lane):
+        size = {u: n for _, u, n in units}
+        return [size[u] for u in lane]
+
+    def _check(self, units, window, cap):
+        from plugin_debezium_ray.pipelines.streaming_apply import _lanes
+
+        lanes = _lanes(units, window)
+        # contiguous, in plan order, each non-empty unit exactly once
+        assert [u for _, lane in lanes for u in lane] \
+            == [u for _, u, n in units if n != 0]
+        for args, lane in lanes:
+            rows = self._rows(units, lane)
+            assert lane and all(a == args for a, u, _ in units if u in lane)
+            if len(lane) > 1:
+                assert None not in rows and sum(rows) <= cap
+        # the window bounds them when only the row target cuts lanes
+        if (all(n is not None and a == {} for a, _, n in units)
+                and sum(n for *_, n in units) <= cap):
+            assert len(lanes) <= window
+        return lanes
+
+    def test_bootstrap_commit_is_two_lanes_on_two_cpus(self):
+        """The benchmark's bootstrap: the snapshot, the DDL segment and
+        eight 5,000-row segments."""
+        from plugin_debezium_ray.pipelines.streaming_apply import COMPACT_ROWS
+
+        units = self._units(4000, 2, *[5000] * 8)
+        lanes = self._check(units, 2, COMPACT_ROWS)
+        assert [len(lane) for _, lane in lanes] == [6, 4]
+        assert [len(lane) for _, lane in self._check(units, 1, COMPACT_ROWS)] \
+            == [10]
+
+    def test_no_lane_passes_the_cap_but_a_single_unit(self, monkeypatch):
+        from plugin_debezium_ray.pipelines import streaming_apply as sa
+
+        monkeypatch.setattr(sa, "COMPACT_ROWS", 1000)
+        units = self._units(400, 400, 400, 1500, 300)
+        lanes = self._check(units, 1, 1000)
+        assert [lane for _, lane in lanes] \
+            == [["u0", "u1"], ["u2"], ["u3"], ["u4"]]
+
+    def test_unknown_size_is_alone_and_empty_is_nowhere(self):
+        from plugin_debezium_ray.pipelines.streaming_apply import COMPACT_ROWS
+
+        units = self._units(0, 100, None, 100, 0, 100)
+        lanes = self._check(units, 1, COMPACT_ROWS)
+        assert [lane for _, lane in lanes] == [["u1"], ["u2"], ["u3", "u5"]]
+        assert self._check(self._units(0, 0), 4, COMPACT_ROWS) == []
+        assert self._check([], 4, COMPACT_ROWS) == []
+
+    def test_other_ray_options_never_share_a_lane(self):
+        from plugin_debezium_ray.pipelines.streaming_apply import COMPACT_ROWS
+
+        units = [({}, "u0", 10), ({}, "u1", 10), ({"num_cpus": 2}, "u2", 10)]
+        lanes = self._check(units, 1, COMPACT_ROWS)
+        assert [(a, lane) for a, lane in lanes] \
+            == [({}, ["u0", "u1"]), ({"num_cpus": 2}, ["u2"])]
+
+    def test_random_plans_keep_every_rule(self, monkeypatch):
+        import random
+
+        from plugin_debezium_ray.pipelines import streaming_apply as sa
+
+        monkeypatch.setattr(sa, "COMPACT_ROWS", 5000)
+        rng = random.Random(SEED)
+        options = [{}, {"num_cpus": 2}]
+        for _ in range(500):
+            units = [(rng.choice(options) if rng.random() < 0.1 else options[0],
+                      f"u{i}",
+                      rng.choice([None, 0, rng.randint(1, 7000)])
+                      if rng.random() < 0.1 else rng.randint(1, 3000))
+                     for i in range(rng.randint(0, 12))]
+            self._check(units, rng.randint(1, 8), 5000)
 
 
 # -------------------------------------------------------- merge kernel
