@@ -742,9 +742,7 @@ def q_cdc_corpus_prep(sf_dir: str):
             os.path.join(d, "lake"),
             fingerprint_col="text",
         )
-        # ddl_source=False: envelopes_from_table never emits DDL, and
-        # the default DDL scan would re-execute the whole wrap pipeline
-        job.run(env, ddl_source=False)
+        job.run(env)
         lake = job.read_table().select_columns(["doc_id", "text", "lang"])
         # consume before the lake dir is cleaned up (tiny result)
         return corpus_prep(lake, min_tokens=5, max_punct_ratio=0.2).to_pandas()
@@ -797,7 +795,7 @@ def q_cdc_incremental_mv(sf_dir: str):
                 default_op="c",
                 table="documents",
             )
-            job.run(env, ddl_source=False)
+            job.run(env)
             rows = mv.refresh()
         # the maintenance must be incremental: the second refresh may
         # recompute at most the bucket count, and reused ≥ 0 partials

@@ -241,7 +241,6 @@ class ReplayJob:
         envelopes: "ray.data.Dataset",
         *,
         snapshot: "ray.data.Dataset | None" = None,
-        ddl_source: "bool | None" = None,
     ) -> ReplayResult:
         """One batch capture, the apply core behind every entry point:
         restore state → schema replay → route → atomic commit, merged by
@@ -256,19 +255,14 @@ class ReplayJob:
         ``ddl`` column.  Any other file read is scanned for them if it
         has a ``ddl`` column; any other input is materialized, and its
         blocks are scanned.  Without DDL rows the registry carries
-        forward.  ``ddl_source=False`` says the input carries no DDL and
-        spares the scan."""
-        return self._run(time.monotonic(), envelopes, snapshot=snapshot,
-                         ddl_source=ddl_source)
+        forward."""
+        return self._run(time.monotonic(), envelopes, snapshot=snapshot)
 
     def _run(self, t0: float, envelopes: "ray.data.Dataset", *,
-             snapshot: "ray.data.Dataset | None" = None,
-             ddl_source: "bool | None" = None) -> ReplayResult:
+             snapshot: "ray.data.Dataset | None" = None) -> ReplayResult:
         """``run`` on a clock started at ``t0``: ``wall_seconds`` and
         ``elapsed_seconds`` count from there."""
-        if ddl_source is not None and ddl_source is not False:
-            raise TypeError("ddl_source must be None or False")
-        prep = self._prepare(envelopes, snapshot, ddl_source)
+        prep = self._prepare(envelopes, snapshot)
         if isinstance(prep, ReplayResult):
             return prep  # the snapshot phase overran its budget
         rows, metrics = route(prep, self._session)
@@ -278,7 +272,6 @@ class ReplayJob:
         self,
         envelopes: "ray.data.Dataset",
         snapshot: "ray.data.Dataset | None",
-        ddl_source: "bool | None",
     ) -> "_Prepared | ReplayResult":
         """Everything a commit decides before routing: restore the parent
         commit, apply the ``max_records`` and ``snapshot_mode`` rules,
@@ -314,7 +307,7 @@ class ReplayJob:
                 max_records=None,  # snapshot is exempt from maxRecords
             )
             t_snap = time.monotonic()
-            snap_res = sub.run(snapshot, ddl_source=False)
+            snap_res = sub.run(snapshot)
             snap_elapsed = time.monotonic() - t_snap
             metrics["snapshot_seconds"] = round(snap_elapsed, 3)
             if snap_elapsed > cfg.max_snapshot_duration_seconds:
@@ -333,7 +326,7 @@ class ReplayJob:
         mark = min(marks) if None not in marks else None
         reads = _file_reads(envelopes)
         ddl, skipped = None, {}
-        if ddl_source is None and reads and all(r.parquet for r in reads):
+        if reads and all(r.parquet for r in reads):
             plans = [ddl_rows_from_parquet(*r.parquet, max_lsn=cfg.max_lsn,
                                            mark=mark) for r in reads]
             ddl = pa.concat_tables([p.ddl for p in plans],
@@ -355,7 +348,7 @@ class ReplayJob:
         if ds_reads is not None:
             units = _read_units(ds_reads, skipped, metrics)
             sch = (reads or ds_reads)[0].schema
-            if ddl is None and ddl_source is None and reads and "ddl" in sch.names:
+            if ddl is None and reads and "ddl" in sch.names:
                 ddl = envelopes  # a filtered read: the scan rule
         else:
             # one run of the input's plan: its blocks are the units, and
@@ -368,12 +361,19 @@ class ReplayJob:
             sch = (reads[0].schema if reads
                    else next((sch for sch, _, _ in scans if sch), None))
             found = [t for _, t, _ in scans if t is not None]
-            if ddl is None and ddl_source is None and found:
+            if ddl is None and found:
                 ddl = pa.concat_tables(found, promote_options="permissive")
-        base_fields = [] if prior or sch is None else [
-            (f.name, str(f.type))
-            for f in payload_fields_of(pa.schema(zip(sch.names, sch.types)))
-        ]
+        base_fields = []
+        if sch is not None and not (prior or {}).get("fields"):
+            # a fresh lake, or a parent that recorded no field (an empty
+            # first commit): the base fields are this input's, and the
+            # parent's log and defaults carry over
+            base_fields = [
+                (f.name, str(f.type))
+                for f in payload_fields_of(pa.schema(zip(sch.names, sch.types)))
+            ]
+            if prior:
+                prior = {**prior, "fields": base_fields}
         if ddl is None:
             reg = (SchemaRegistry.from_snapshot(prior) if prior
                    else SchemaRegistry(base_fields))
@@ -431,26 +431,19 @@ class ReplayJob:
             metrics=m,
         )
 
-    def run_source(self, source, **kw) -> ReplayResult:
+    def run_source(self, source) -> ReplayResult:
         """Run any object implementing the Source protocol (§2.8) —
         the 'one class per connector' extension surface.  The commit's
         clock starts before the source builds its inputs, so
         ``wall_seconds`` includes planning its reads."""
         t0 = time.monotonic()
-        return self._run(
-            t0,
-            source.envelopes(),
-            snapshot=source.snapshot(),
-            ddl_source=source.ddl_source(),
-            **kw,
-        )
+        return self._run(t0, source.envelopes(), snapshot=source.snapshot())
 
     def run_from_paths(
         self,
         wal_paths: str | list[str],
         *,
         snapshot_paths: str | list[str] | None = None,
-        **kw,
     ) -> ReplayResult:
         """Replay Parquet WAL segments by path (a file, a list of files or
         a directory): ``run_source`` of a ``ParquetWalSource``, whose
@@ -460,13 +453,12 @@ class ReplayJob:
         from plugin_debezium_ray.sources.protocol import ParquetWalSource
 
         return self.run_source(
-            ParquetWalSource(wal_paths, snapshot_paths=snapshot_paths), **kw
+            ParquetWalSource(wal_paths, snapshot_paths=snapshot_paths)
         )
 
     def run_segments(
         self,
         segment_groups: list["ray.data.Dataset"],
-        **kw,
     ) -> list[ReplayResult]:
         """ON_EACH_BATCH commit cadence (ST4): one atomic commit per
         segment group, with the ``max_duration_seconds`` budget checked
@@ -491,7 +483,7 @@ class ReplayJob:
             ds = segment_groups[0]
             for other in segment_groups[1:]:
                 ds = ds.union(other)
-            return [self.run(ds, **kw)]
+            return [self.run(ds)]
         # ON_EACH_BATCH honors the soft wall budget between commits —
         # the maxDuration stop condition (AbstractDebeziumTask.java:611-634);
         # a later run resumes from the committed ledger.
@@ -504,29 +496,35 @@ class ReplayJob:
                 and time.monotonic() - t0 >= self.cfg.max_duration_seconds
             ):
                 break
-            out.append(self.run(g, **kw))
+            out.append(self.run(g))
         return out
 
-    def streaming_session(self, *, num_shards: int | None = None) -> "object":
-        """Open the job's shard pool (``num_shards`` MergeShard actors):
-        until it is closed, every commit of this job merges on its
-        shards instead of plain merge tasks.  ``close()``/context manager
-        tears the pool down — the engine handle a continuous ingester
-        holds for its lifetime.  See
+    def streaming_session(self) -> "object":
+        """Open the job's shard pool: one MergeShard actor per contiguous
+        bucket range, as many ranges as the cluster has CPUs (at least 2,
+        at most one per bucket).  Until it is closed, every commit of
+        this job merges on its shards instead of plain merge tasks.
+        ``close()``/context manager tears the pool down — the engine
+        handle a continuous ingester holds for its lifetime.  See
         ``pipelines/streaming_apply.StreamingSession``."""
         from plugin_debezium_ray.pipelines.streaming_apply import (
             StreamingSession,
         )
 
-        return StreamingSession(self, num_shards=num_shards)
+        return StreamingSession(self)
 
     # ------------------------------------------------------------ poll
 
-    def poll(self, envelopes: "ray.data.Dataset", **kw) -> ReplayResult | None:
+    def poll(
+        self,
+        envelopes: "ray.data.Dataset",
+        *,
+        snapshot: "ray.data.Dataset | None" = None,
+    ) -> ReplayResult | None:
         """Polling-trigger surface: returns the result only if events were
         applied (`AbstractDebeziumTrigger` evaluates to an execution only
         when size > 0, Trigger.java:99-112)."""
-        res = self.run(envelopes, **kw)
+        res = self.run(envelopes, snapshot=snapshot)
         return res if res.size > 0 else None
 
     # ------------------------------------------------------ streaming
@@ -720,7 +718,6 @@ class ReplayJob:
         max_wait_seconds: float | None = None,
         max_duration_seconds: float | None = None,
         stop_event=None,
-        **run_kw,
     ):
         """Unbounded capture surface: watch ``wal_dir`` and commit every
         newly arriving segment batch to the lake atomically, yielding
@@ -752,7 +749,7 @@ class ReplayJob:
                 max_duration_seconds=max_duration_seconds,
                 stop_event=stop_event,
             ):
-                yield self.run_from_paths(new, **run_kw)
+                yield self.run_from_paths(new)
 
     # ------------------------------------------------------- read back
 

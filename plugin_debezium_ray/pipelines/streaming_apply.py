@@ -53,10 +53,11 @@ Every manifest records ``registry_seconds``, ``decode_seconds``,
 ``finalize_seconds``, ``decode_tasks`` (units), ``decode_lanes`` (Ray
 decode tasks), ``files_skipped`` and ``rows_skipped``; a session commit
 adds ``streaming_apply``, ``streaming_session_commit`` and
-``num_shards`` (0 while no pool has started).  At cluster scale each
-shard is one actor (pin ``num_shards`` ≈ total cores; Ray spreads them
-across nodes), and a task's slices go from its return objects to a
-merge home without passing the driver.
+``num_shards`` (0 while no pool has started).  Both homes cut the
+buckets into one range per cluster CPU (at least 2, at most one per
+bucket), so at cluster scale a session has one shard actor per core,
+spread across nodes, and a task's slices go from its return objects to
+a merge home without passing the driver.
 """
 
 from __future__ import annotations
@@ -308,12 +309,10 @@ class MergeShard:
         return stats.to_pylist()
 
 
-def _shard_table(cfg: CaptureConfig, num_shards: int | None,
-                 cpus: int) -> np.ndarray:
-    """Bucket → shard index: ``num_shards`` contiguous bucket ranges
-    (default one per CPU, at least 2, at most one per bucket)."""
-    if num_shards is None:
-        num_shards = max(2, min(cfg.num_buckets, cpus))
+def _shard_table(cfg: CaptureConfig, cpus: int) -> np.ndarray:
+    """Bucket → shard index: contiguous bucket ranges, one per CPU, at
+    least 2, at most one per bucket."""
+    num_shards = max(2, min(cfg.num_buckets, cpus))
     per = (cfg.num_buckets + num_shards - 1) // num_shards
     return np.arange(cfg.num_buckets) // per
 
@@ -362,7 +361,7 @@ class _MergeTasks:
 
     def __init__(self, cfg: CaptureConfig):
         self._window = _cpus()
-        self.shard_of = _shard_table(cfg, None, self._window)
+        self.shard_of = _shard_table(cfg, self._window)
         self._key_cols = cfg.key_cols
         self._parts: list[list] = [[] for _ in range(int(self.shard_of[-1]) + 1)]
 
@@ -468,14 +467,14 @@ class StreamingSession:
     ``close()`` kills the shards and hands the job back to plain merge
     tasks."""
 
-    def __init__(self, job, *, num_shards: int | None = None):
+    def __init__(self, job):
         if job._session is not None:
             raise RuntimeError("a StreamingSession is already open on this job")
         self.job = job
         #: decode tasks the driver keeps in flight
         self._window = _cpus()
         #: bucket → index into ``shards``
-        self.shard_of = _shard_table(job.cfg, num_shards, self._window)
+        self.shard_of = _shard_table(job.cfg, self._window)
         #: the pool, once started
         self._shards: list | None = None
         self.commits = 0

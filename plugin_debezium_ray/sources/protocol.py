@@ -5,12 +5,13 @@ with one declarative property interface per database; ours is a small
 protocol any envelope producer implements:
 
     envelopes()  -> Dataset of envelope rows (the change stream)
-    ddl_source() -> None: the commit takes the schema history's DDL rows
-                    from the envelopes (parquet files' footers, or
-                    a scan of their ``ddl`` column); False when the
-                    source emits no DDL, so nothing is scanned
     snapshot()   -> Dataset of op=r rows for the initial load (or None)
     needs_schema_history -> checkpoint strictness (ST2)
+
+The schema history rides in the change stream itself: the commit takes
+its DDL rows from the envelopes (a parquet read's footers, a scan of a
+file read's ``ddl`` column, or the blocks of any other input), so a
+source declares nothing about DDL.
 
 ``ReplayJob.run_source`` consumes any of these, so adding a new source
 (a real WAL reader, a Kafka topic dump, a table poller) is one class —
@@ -34,8 +35,6 @@ class Source(Protocol):
 
     def envelopes(self) -> "ray.data.Dataset": ...
 
-    def ddl_source(self) -> "bool | None": ...
-
     def snapshot(self) -> "ray.data.Dataset | None": ...
 
 
@@ -55,9 +54,6 @@ class ParquetWalSource:
 
     def envelopes(self):
         return _read_files(self.wal_paths)
-
-    def ddl_source(self):
-        return None  # planned from the read's own footers
 
     def snapshot(self):
         if self.snapshot_paths is None:
@@ -86,9 +82,6 @@ class SyntheticBinlogSource:
 
     def envelopes(self):
         return binlog(self.n_events, self.n_keys, seed=self.seed, **self.kw)
-
-    def ddl_source(self):
-        return False  # generator emits no DDL unless unioned in explicitly
 
     def snapshot(self):
         if not self.include_snapshot:
@@ -122,9 +115,6 @@ class TableSource:
         )
         ds = ray.data.read_parquet(self.table_path, columns=cols)
         return envelopes_from_table(ds, **self.args)
-
-    def ddl_source(self):
-        return False
 
     def snapshot(self):
         return None

@@ -111,7 +111,7 @@ def submitted(monkeypatch):
 
 def _restart(job, ds):
     """A fresh session's one commit of ``ds``; (result, session)."""
-    with job.streaming_session(num_shards=2) as session:
+    with job.streaming_session() as session:
         res = job.run(ds)
     assert res.metrics["streaming_apply"]
     return res, session
@@ -185,12 +185,12 @@ class TestFooterSkip:
                               pa.array([mark[1] + 1], pa.int64()))
         extra = str(tmp_path / "wal" / "seg-00009.parquet")
         pq.write_table(later, extra)
-        res, _ = _restart(job, _read([*paths, extra]))
+        res, session = _restart(job, _read([*paths, extra]))
         # segment 9's task returned its row, so the driver started the
-        # pool; no unit ran twice
+        # whole pool; no unit ran twice
         assert submitted == [["seg-00008.parquet"], ["seg-00009.parquet"]]
         assert (res.metrics["files_skipped"], res.metrics["decode_tasks"],
-                res.metrics["num_shards"]) == (8, 2, 2)
+                res.metrics["num_shards"]) == (8, 2, len(set(session.shard_of)))
         assert res.events_seen == 1 and res.events_applied == 1
         assert _state(job) == _oracle()
 
@@ -238,7 +238,7 @@ class TestLazyPool:
         """A session whose one commit the ledger wholly drops never
         starts a shard, and ``close()`` waits for nothing."""
         job, paths = _base(tmp_path)
-        session = job.streaming_session(num_shards=2)
+        session = job.streaming_session()
         try:
             res = session.apply_segment(_read(paths[-1:]))
             assert res.events_seen == 0 and res.metrics["num_shards"] == 0
@@ -262,12 +262,12 @@ class TestLazyPool:
         want = sort.run(_read(paths))
         submitted.clear()  # the sessionless commit's own units
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
-        with job.streaming_session(num_shards=2) as session:
+        with job.streaming_session() as session:
             assert session._window >= 2 and session._shards is None
             res = job.run(_read(paths))
         assert submitted == [[os.path.basename(p)] for p in paths]
         assert res.metrics["decode_tasks"] == SEGS + 1
-        assert res.metrics["num_shards"] == 2
+        assert res.metrics["num_shards"] == len(set(session.shard_of))
         assert res.events_seen == want.events_seen == N
         assert _bucket_hashes(job) == _bucket_hashes(sort)
         assert _state(job) == _oracle()

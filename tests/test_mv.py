@@ -32,7 +32,7 @@ def test_mv_matches_direct_and_is_incremental(tmp_path):
     mv = MaterializedAggregate(str(tmp_path), group_col="lang",
                                sum_col="lsn")
 
-    job.run(binlog(2000, 300, seed=4), ddl_source=False)
+    job.run(binlog(2000, 300, seed=4))
     rows1 = mv.refresh()
     first_recomputed = mv.last_recomputed
     assert first_recomputed > 0  # cold cache: everything computed
@@ -40,7 +40,7 @@ def test_mv_matches_direct_and_is_incremental(tmp_path):
 
     # a SMALL second commit (few keys → few touched buckets)
     before = job.ckpt.bucket_paths()
-    job.run(binlog(40, 5, seed=9, base_lsn=1_000_000), ddl_source=False)
+    job.run(binlog(40, 5, seed=9, base_lsn=1_000_000))
     touched = sum(1 for b, p in job.ckpt.bucket_paths().items()
                   if before.get(b) != p)
     rows2 = mv.refresh()
@@ -57,7 +57,7 @@ def test_mv_matches_direct_and_is_incremental(tmp_path):
 
 def test_mv_cache_loss_degrades_to_full_recompute(tmp_path):
     job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
-    job.run(binlog(500, 80, seed=7), ddl_source=False)
+    job.run(binlog(500, 80, seed=7))
     mv = MaterializedAggregate(str(tmp_path), group_col="lang")
     rows = mv.refresh()
     os.unlink(mv.cache_path)  # torn/lost cache is advisory, not state
@@ -112,7 +112,7 @@ def test_mv_typed_int_groups_null_sums_and_decimal_guard(tmp_path):
     # fold through the class: group 2's total must be None, not 0
     from plugin_debezium_ray.pipelines.mv import MaterializedAggregate
     job = ReplayJob(CaptureConfig(num_buckets=2), str(tmp_path / "lake"))
-    job.run(binlog(100, 20, seed=3), ddl_source=False)
+    job.run(binlog(100, 20, seed=3))
     mv = MaterializedAggregate(str(tmp_path / "lake"), group_col="lang",
                                sum_col="lsn")
     assert mv.refresh()  # smoke: normal path still folds
@@ -155,7 +155,7 @@ def test_mv_minmax_exact_under_deletes(tmp_path):
         "val": pa.array(range(n), pa.int64()),
         "op": pa.array(["c"] * n),
     })
-    job.run(env(t1, range(1, n + 1)), ddl_source=False)
+    job.run(env(t1, range(1, n + 1)))
     mv = MaterializedAggregate(str(tmp_path), group_col="lang",
                                sum_col="val", minmax_col="val")
     r1 = {r["lang"]: r for r in mv.refresh()}
@@ -169,7 +169,7 @@ def test_mv_minmax_exact_under_deletes(tmp_path):
         "val": pa.array([38, 39, 0], pa.int64()),
         "op": pa.array(["d"] * 3),
     })
-    job.run(env(t2, [n + 1, n + 2, n + 3]), ddl_source=False)
+    job.run(env(t2, [n + 1, n + 2, n + 3]))
     r2 = {r["lang"]: r for r in mv.refresh()}
     assert mv.last_recomputed <= 4  # only touched buckets re-read
     assert (r2["a"]["vmin"], r2["a"]["vmax"]) == (2, 36)

@@ -40,7 +40,7 @@ from plugin_debezium_ray.stages.apply import APPLY_COLUMNS
 # a parquet WAL read: its units are the read's own tasks
 binlog(3000, 250, seed=7).write_parquet(sys.argv[2])
 job = ReplayJob(CaptureConfig(num_buckets=12), sys.argv[1])
-with job.streaming_session(num_shards=6):
+with job.streaming_session():
     res = job.run(ray.data.read_parquet(sys.argv[2], columns=list(APPLY_COLUMNS)))
 state = {
     (r.repo, r.path): hashlib.sha256(r.content.encode()).hexdigest()
@@ -77,6 +77,7 @@ def test_spread_places_shards_across_nodes(tmp_path):
     assert out.returncode == 0, out.stderr[-2000:]
     verdict = json.loads(out.stdout.strip().splitlines()[-1])
     assert verdict["cluster_nodes"] == 3
+    # one shard per cluster CPU: 3 nodes × 2 CPUs over 12 buckets
     assert verdict["num_shards"] == 6 and verdict["streaming_apply"] is True
     # SPREAD: the pool is not colocated on one node
     assert verdict["shard_nodes"] >= 2

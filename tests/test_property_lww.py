@@ -56,7 +56,7 @@ def test_lww_apply_matches_dict_oracle(events, tmp_path_factory):
         str(tmp / "lake"),
         fingerprint_col="val",
     )
-    job.run(env, ddl_source=False)
+    job.run(env)
 
     oracle: dict[str, int] = {}
     for i, (k, op, v) in enumerate(events):

@@ -30,11 +30,11 @@ def test_incremental_fingerprint_equals_full(tmp_path):
     a = binlog(1500, 120, seed=31)
     b = binlog(800, 120, seed=32, base_lsn=10_000)
     j1 = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "inc"))
-    j1.run(a, ddl_source=False)
-    j1.run(b, ddl_source=False)  # incremental XOR path
+    j1.run(a)
+    j1.run(b)  # incremental XOR path
 
     j2 = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "full"))
-    j2.run(a.union(b), ddl_source=False)  # full digest path
+    j2.run(a.union(b))  # full digest path
     assert _fp_of(j1) == _fp_of(j2)
 
     # and final tables match row-for-row
@@ -51,11 +51,11 @@ def test_crash_between_data_write_and_commit(tmp_path):
     base = binlog(1200, 100, seed=41)
     tail = binlog(600, 100, seed=42, base_lsn=50_000)
     job = ReplayJob(CaptureConfig(num_buckets=8), lake)
-    job.run(base, ddl_source=False)
+    job.run(base)
     v1_rows = job.read_table().count()
 
     # run v2 normally, then roll the COMMIT back (leave v2 data orphaned)
-    job.run(tail, ddl_source=False)
+    job.run(tail)
     v2_hashes = {
         b: hashlib.sha256(open(p, "rb").read()).hexdigest()
         for b, p in job.ckpt.bucket_paths().items()
@@ -71,7 +71,7 @@ def test_crash_between_data_write_and_commit(tmp_path):
     assert job_after.read_table().count() == v1_rows
 
     # recovery: rerun the same tail → identical v2, byte-for-byte
-    res = job_after.run(tail, ddl_source=False)
+    res = job_after.run(tail)
     assert res.version == 2 and res.events_seen == 600
     new_hashes = {
         b: hashlib.sha256(open(p, "rb").read()).hexdigest()
@@ -171,14 +171,14 @@ def test_corrupt_pointer_does_not_reset_the_lake(tmp_path):
     lake = str(tmp_path)
     cfg = CaptureConfig(num_buckets=8)
     for lo, hi in ((0, 100), (100, 200)):
-        ReplayJob(cfg, lake).run(_segment(lo, hi), ddl_source=False)
+        ReplayJob(cfg, lake).run(_segment(lo, hi))
     meta = os.path.join(lake, "_meta")
     names = ("manifest-v000001.json", "manifest-v000002.json")
     before = [open(os.path.join(meta, n), "rb").read() for n in names]
     with open(os.path.join(meta, "CURRENT"), "w") as f:
         f.write("garbage")
 
-    res = ReplayJob(cfg, lake).run(_segment(200, 300), ddl_source=False)
+    res = ReplayJob(cfg, lake).run(_segment(200, 300))
     assert res.version == 3
     assert [open(os.path.join(meta, n), "rb").read() for n in names] == before
     assert _state(lake) == _oracle(300)
@@ -195,10 +195,10 @@ def test_two_writers_one_commit_wins(tmp_path):
 
     lake = str(tmp_path)
     cfg = CaptureConfig(num_buckets=8)
-    ReplayJob(cfg, lake).run(_segment(0, 150), ddl_source=False)
+    ReplayJob(cfg, lake).run(_segment(0, 150))
     a, b = ReplayJob(cfg, lake), ReplayJob(cfg, lake)
-    prep_a = a._prepare(_segment(150, 300), None, False)
-    prep_b = b._prepare(binlog(N, K, seed=SEED + 1), None, False)
+    prep_a = a._prepare(_segment(150, 300), None)
+    prep_b = b._prepare(binlog(N, K, seed=SEED + 1), None)
     assert prep_a.version == prep_b.version == 2
 
     rows, _ = route(prep_a)
@@ -223,8 +223,8 @@ def test_string_widths_mix_on_one_lake(tmp_path, first):
     # binlog(600) is the first 600 events of the log: lsn 1..150
     head = _segment(0, 150) if first == "filtered" else binlog(600, K, seed=SEED)
     tail = binlog(N, K, seed=SEED) if first == "filtered" else _segment(150, 300)
-    ReplayJob(cfg, lake).run(head, ddl_source=False)
-    res = ReplayJob(cfg, lake).run(tail, ddl_source=False)
+    ReplayJob(cfg, lake).run(head)
+    res = ReplayJob(cfg, lake).run(tail)
     assert res.version == 2 and res.events_seen == 600
     assert _state(lake) == _oracle(300)
 
@@ -236,7 +236,7 @@ def _commit_in(home, lake, ds):
         res = job.run(ds)
         assert "streaming_apply" not in res.metrics
         return res
-    with job.streaming_session(num_shards=2) as session:
+    with job.streaming_session() as session:
         res = session.apply_segment(ds)
     assert res.metrics["streaming_apply"]
     return res

@@ -58,7 +58,7 @@ def test_skewed_replay_parity(tmp_path):
     n_ev, n_keys = 3000, 50
     env = binlog(n_ev, n_keys, seed=13, key_skew=True)
     job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path))
-    job.run(env, ddl_source=False)
+    job.run(env)
     oracle = oracle_apply(n_ev, n_keys, seed=13, include_snapshot=False,
                           key_skew=True)
     tab = job.read_table().to_pandas()

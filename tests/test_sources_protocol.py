@@ -2,9 +2,13 @@
 
 import time
 
+import ray.data
+
 from plugin_debezium_ray.config import CaptureConfig
 from plugin_debezium_ray.pipelines.replay import ReplayJob
-from plugin_debezium_ray.sources.binlog import oracle_apply, write_binlog_segments
+from plugin_debezium_ray.sources.binlog import (
+    binlog, ddl_events_table, oracle_apply, write_binlog_segments,
+)
 from plugin_debezium_ray.sources.protocol import (
     ParquetWalSource,
     Source,
@@ -21,6 +25,45 @@ def test_protocol_conformance():
                     payload_cols=["id"]),
     ):
         assert isinstance(src, Source)
+
+
+def test_source_needs_no_ddl_declaration(tmp_path):
+    """A Source is ``envelopes``, ``snapshot`` and
+    ``needs_schema_history``: ``run_source`` asks it nothing else."""
+
+    class Minimal:
+        needs_schema_history = True
+
+        def envelopes(self):
+            return binlog(300, 40, seed=9)
+
+        def snapshot(self):
+            return None
+
+    assert isinstance(Minimal(), Source)
+    job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
+    res = job.run_source(Minimal())
+    assert res.events_seen == 300
+    oracle = oracle_apply(300, 40, seed=9, include_snapshot=False)
+    assert job.read_table().count() == len(oracle)
+
+
+def test_ddl_rows_in_a_sources_envelopes_evolve_the_schema(tmp_path):
+    """A source's DDL rides in its change stream: a rename unioned into
+    a generated binlog reaches the lake and the schema log."""
+    rename = {"action": "rename_column", "from": "lang", "to": "language"}
+
+    class Renaming(SyntheticBinlogSource):
+        def envelopes(self):
+            return super().envelopes().union(
+                ray.data.from_arrow(ddl_events_table([(0, rename)])))
+
+    job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
+    res = job.run_source(Renaming(300, 40, seed=9, include_snapshot=False))
+    assert res.events_seen == 300
+    assert job.ckpt.restore()["schema"]["log"] == [rename]
+    names = job.read_table().schema().names
+    assert "language" in names and "lang" not in names
 
 
 def test_synthetic_source_replay(tmp_path):

@@ -6,6 +6,7 @@ out-of-order ingestion (LWW order independence).
 
 import hashlib
 import os
+import types
 
 import pytest
 
@@ -80,8 +81,7 @@ class TestStreamingApply:
         full = binlog(2000, N_KEYS, seed=SEED).union(
             binlog(1500, N_KEYS, seed=SEED, base_lsn=2001)
         )
-        ref.run(full, snapshot=snapshot_envelopes(N_KEYS, seed=SEED),
-                ddl_source=False)
+        ref.run(full, snapshot=snapshot_envelopes(N_KEYS, seed=SEED))
         assert _state(job) == _state(ref)
 
     def test_order_independence_segments_reversed_within_run(self, tmp_path):
@@ -189,7 +189,7 @@ class TestStreamingSoak:
         full = self._segments()[0]
         for seg in self._segments()[1:]:
             full = full.union(seg)
-        ref.run(full, ddl_source=False)
+        ref.run(full)
         assert _state(job) == _state(ref)
 
         # rerun-zero across the SAME multi-commit surface: every segment
@@ -285,7 +285,7 @@ class TestShardLoss:
         env = wal_read(tmp_path, binlog(N_EVENTS, N_KEYS, seed=SEED))
         snap = wal_read(tmp_path, snapshot_envelopes(N_KEYS, seed=SEED))
         monkeypatch.setattr(sa, "_make_shard_pool", sabotaged)
-        with job.streaming_session(num_shards=2) as session:
+        with job.streaming_session() as session:
             with pytest.raises(Exception):
                 job.run(env, snapshot=snap)
             # the commit started the pool, and the live shard discarded
@@ -314,7 +314,7 @@ class TestSessionShardLoss:
         seg1 = wal_read(tmp_path, binlog(1500, 150, seed=SEED, base_lsn=1))
         seg2 = wal_read(tmp_path, binlog(1500, 150, seed=SEED, base_lsn=1501))
 
-        session = job.streaming_session(num_shards=2)
+        session = job.streaming_session()
         try:
             r1 = session.apply_segment(seg1)
             assert r1.version == 1
@@ -329,7 +329,7 @@ class TestSessionShardLoss:
         assert _bucket_hashes(job) == v1_buckets
 
         # recovery: a fresh session replays the failed segment
-        with job.streaming_session(num_shards=2) as s2:
+        with job.streaming_session() as s2:
             r2 = s2.apply_segment(seg2)
         assert r1.metrics["streaming_apply"] and r2.metrics["streaming_apply"]
         assert r2.version == 2 and r2.events_seen == 1500
@@ -345,7 +345,7 @@ class TestSessionShardLoss:
         bucket file."""
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
         seg = wal_read(tmp_path, binlog(1500, 150, seed=SEED, base_lsn=1))
-        with job.streaming_session(num_shards=2) as session:
+        with job.streaming_session() as session:
             r1 = session.apply_segment(seg)
             v1_buckets = _bucket_hashes(job)
             for s in session.shards:
@@ -455,7 +455,7 @@ class TestOneApplySurface:
         if route == "sort":
             results = [job.run(ds) for ds in reads]
         else:
-            with job.streaming_session(num_shards=2) as session:
+            with job.streaming_session() as session:
                 results = [session.apply_segment(ds) for ds in reads]
         assert [r.events_seen for r in results] == [600, 300]
         tab = job.read_table().to_pandas()
@@ -590,7 +590,7 @@ class TestOneApplySurface:
         if route == "sort":
             res = job.run(wal, snapshot=snap)
         else:
-            with job.streaming_session(num_shards=2):
+            with job.streaming_session():
                 res = job.run(wal, snapshot=snap)
         assert res.events_seen == 1200 + 150
         assert bool(res.metrics.get("streaming_apply")) == (route == "session")
@@ -614,13 +614,20 @@ class TestOneApplySurface:
         assert "lang" in job.read_table().schema().names
         assert job.ckpt.restore()["schema"]["log"] == []
 
-    def test_ddl_source_is_none_or_false(self, tmp_path):
-        job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
-        env = binlog(40, 5, seed=SEED)
-        for bad in (env, True):
-            with pytest.raises(TypeError, match="None or False"):
-                job.run(env, ddl_source=bad)
-        assert job.ckpt.restore() is None
+    def test_empty_first_commit_fixes_no_schema(self, tmp_path):
+        """A first commit that keeps no row records no field, and the
+        next commit takes its base fields from its own input, as a fresh
+        lake does: schema and bucket files equal a fresh lake's."""
+        job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "lake"))
+        empty = job.run(binlog(300, 40, seed=7).filter(lambda r: r["lsn"] < 0))
+        assert empty.version == 1 and empty.events_seen == 0
+        assert job.ckpt.restore()["schema"]["fields"] == []
+        assert job.run(binlog(300, 40, seed=7)).version == 2
+        fresh = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "fresh"))
+        fresh.run(binlog(300, 40, seed=7))
+        schema = job.ckpt.restore()["schema"]
+        assert schema["fields"] and schema == fresh.ckpt.restore()["schema"]
+        assert _bucket_hashes(job) == _bucket_hashes(fresh)
 
     def test_open_session_routes_every_entry_point(self, tmp_path):
         import glob
@@ -646,7 +653,7 @@ class TestOneApplySurface:
             ]
 
         job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "lake"))
-        with job.streaming_session(num_shards=2):
+        with job.streaming_session():
             inside = every_entry_point(1)
         assert [r.metrics.get("streaming_apply") for r in inside] == [True] * 4
         assert [r.metrics["streaming_session_commit"] for r in inside] == [1, 2, 3, 4]
@@ -656,10 +663,10 @@ class TestOneApplySurface:
 
     def test_one_session_per_job(self, tmp_path):
         job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
-        with job.streaming_session(num_shards=2):
+        with job.streaming_session():
             with pytest.raises(RuntimeError, match="already open"):
-                job.streaming_session(num_shards=2)
-        with job.streaming_session(num_shards=2):  # closing freed the job
+                job.streaming_session()
+        with job.streaming_session():  # closing freed the job
             pass
 
 
@@ -713,7 +720,7 @@ class TestDecodeUnits:
         paths = self._wal(tmp_path, 1800, 6)
         lake = str(tmp_path / "lake")
         job = ReplayJob(CaptureConfig(num_buckets=8), lake)
-        with job.streaming_session(num_shards=2):
+        with job.streaming_session():
             reads = [
                 job.run(self._read(paths[:3])),
                 job.run(self._read(paths[3:4]).union(self._read(paths[4:]))),
@@ -774,7 +781,7 @@ class TestDecodeUnits:
         them too."""
         paths = self._wal(tmp_path, 1200, 4)
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
-        with job.streaming_session(num_shards=2):
+        with job.streaming_session():
             assert job.run(self._read(paths[:1])).version == 1
             self._failing_commit(job, paths)
             res = job.run(self._read(paths[1:]))
@@ -793,7 +800,7 @@ class TestDecodeUnits:
         that file's events only."""
         paths = self._wal(tmp_path, 1200, 4)
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lake"))
-        with job.streaming_session(num_shards=2):
+        with job.streaming_session():
             job.run(self._read(paths[:1]))
             self._failing_commit(job, paths)
             res = job.run(self._read(paths[3:]))
@@ -815,7 +822,7 @@ class TestDecodeUnits:
             want = sort.run(ds())
             push = ReplayJob(CaptureConfig(num_buckets=8),
                              str(tmp_path / f"push-{form}"))
-            with push.streaming_session(num_shards=2):
+            with push.streaming_session():
                 got = push.run(ds())
             assert got.metrics["streaming_apply"], form
             assert got.metrics["decode_tasks"] == 2, form
@@ -906,7 +913,7 @@ class TestDecodeUnits:
 
         job = ReplayJob(CaptureConfig(num_buckets=8, batch_size=100),
                         str(tmp_path / "lake"))
-        with job.streaming_session(num_shards=2):
+        with job.streaming_session():
             assert job.run(self._read(paths[:1])).version == 1
             monkeypatch.setattr(replay._Prepared, "project", dying_once)
             res = job.run(self._read(paths[1:]))
@@ -950,7 +957,7 @@ class TestDecodeUnits:
 
         job = ReplayJob(CaptureConfig(num_buckets=8, batch_size=100),
                         str(tmp_path / "lake"))
-        with job.streaming_session(num_shards=2) as session:
+        with job.streaming_session() as session:
             assert job.run(self._read(paths[:1])).version == 1
             session._window = 1  # every unit in one lane
             monkeypatch.setattr(replay._Prepared, "project", dying_once)
@@ -972,7 +979,7 @@ class TestDecodeUnits:
         sort = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "sort"))
         want = sort.run(self._read([f, f]))
         job = ReplayJob(CaptureConfig(num_buckets=8), str(tmp_path / "lane"))
-        with job.streaming_session(num_shards=2) as session:
+        with job.streaming_session() as session:
             session.shards  # the pool starts with the session's CPU share
             session._window = 1
             got = job.run(self._read([f, f]))
@@ -1376,15 +1383,42 @@ class TestMergeHomeParityAcrossEpochs:
         assert "language" in tab.columns and "lang" not in tab.columns
 
 
-def test_wide_shard_pool_leaves_cpu_for_decode(tmp_path):
-    """More shards than the cluster has spare CPUs: the pool must still
-    leave a slot for the decode tasks instead of starving them forever."""
+def test_wide_shard_pool_leaves_cpu_for_decode(tmp_path, monkeypatch):
+    """Whatever the cluster's CPU count and the bucket count, the shard
+    pool reserves at most all CPUs but one, and at most half a CPU per
+    shard, so it never starves the decode tasks that feed it; a live
+    session commit on the test cluster finishes."""
     from concurrent.futures import ThreadPoolExecutor, wait
+
+    from plugin_debezium_ray.pipelines import streaming_apply as sa
+
+    class Spy:
+        """``MergeShard`` that records each actor's options and starts
+        none."""
+
+        asked: list = []
+
+        @classmethod
+        def options(cls, **opts):
+            cls.asked.append(opts["num_cpus"])
+            return types.SimpleNamespace(remote=lambda *a, **kw: None)
+
+    with monkeypatch.context() as m:
+        m.setattr(sa, "MergeShard", Spy)
+        for cpus in (1, 2, 3, 4, 64):
+            for num_buckets in (4, 64):
+                cfg = CaptureConfig(num_buckets=num_buckets)
+                Spy.asked = []
+                pool = sa._make_shard_pool(
+                    cfg, sa._shard_table(cfg, cpus), cpus)
+                assert len(pool) == len(Spy.asked) >= 2
+                assert sum(Spy.asked) <= max(cpus - 1, 0), (cpus, num_buckets)
+                assert all(0 <= c <= 0.5 for c in Spy.asked)
 
     seg = wal_read(tmp_path, binlog(300, 40, seed=SEED))
     job = ReplayJob(CaptureConfig(num_buckets=16), str(tmp_path / "lake"))
     with ThreadPoolExecutor(1) as ex:
-        with job.streaming_session(num_shards=8) as session:
+        with job.streaming_session() as session:
             fut = ex.submit(session.apply_segment, seg)
             done, _ = wait([fut], timeout=120)
         # closing the session kills the shards, which frees a starved stream
@@ -1436,30 +1470,40 @@ class TestHeldBucketTables:
 
     def test_idle_shard_keeps_its_held_tables(self, tmp_path):
         """A shard that gets no rows in a commit keeps the tables it
-        holds: with 2 shards over 8 buckets, commit 2 touches only shard
-        0's buckets, and commit 3, over shard 1's, reads no prior file."""
+        holds: commit 2 touches only the buckets of the first half of
+        the session's shards, and commit 3, over the other half's, reads
+        no prior file."""
         import pyarrow as pa
         import pyarrow.compute as pc
 
+        from plugin_debezium_ray.pipelines.streaming_apply import (
+            _cpus, _shard_table,
+        )
         from plugin_debezium_ray.stages.apply import project_for_apply
 
+        cfg = CaptureConfig(**self.CFG)
+        shard_of = _shard_table(cfg, _cpus())
+        # which half of the pool owns each bucket
+        half = shard_of * 2 // (int(shard_of[-1]) + 1)
         events = pa.concat_tables([t for t in ray.get(
             _segment(75, 300).to_arrow_refs()) if t.num_rows])
         rows = project_for_apply(KEYS, 8)(events)
         bucket = dict(zip(zip(*(rows[c].to_pylist() for c in KEYS)),
                           rows["_bucket"].to_pylist()))
-        shard = [bucket[k] // 4 for k in zip(
+        side = [half[bucket[k]] for k in zip(
             *(pc.struct_field(events["key"], c).to_pylist() for c in KEYS))]
         segs = [wal_read(tmp_path, _segment(0, 75))] + [
             wal_read(tmp_path, ray.data.from_arrow(
-                events.filter(pa.array([x == s for x in shard]))))
-            for s in (0, 1)
+                events.filter(pa.array([x == h for x in side]))))
+            for h in (0, 1)
         ]
-        job = ReplayJob(CaptureConfig(**self.CFG), str(tmp_path / "lake"))
-        with job.streaming_session(num_shards=2):
+        job = ReplayJob(cfg, str(tmp_path / "lake"))
+        with job.streaming_session() as session:
+            assert (session.shard_of == shard_of).all()
             results = job.run_segments(segs)
         assert all(r.metrics["streaming_apply"] for r in results)
-        assert [r.metrics["buckets_touched"] for r in results] == [8, 4, 4]
+        assert [r.metrics["buckets_touched"] for r in results] \
+            == [8, int((half == 0).sum()), int((half == 1).sum())]
         assert [r.metrics["prior_files_read"] for r in results] == [0, 0, 0]
         assert _lake_state(job.table_dir) == _oracle(300)
         assert _bucket_hashes(job) == _bucket_hashes(self._sessionless_lake(tmp_path, segs))
@@ -1527,7 +1571,7 @@ class TestHeldBucketTables:
         job = ReplayJob(CaptureConfig(**self.CFG), lake)
         with job.streaming_session() as session:
             assert job.run(s0).version == 1
-            prep = job._prepare(s150, None, False)
+            prep = job._prepare(s150, None)
             # the winner applies more of the log than the loser's attempt
             won = ReplayJob(CaptureConfig(**self.CFG), lake).run(won_seg)
             assert won.version == prep.version == 2

@@ -11,8 +11,7 @@ from plugin_debezium_ray.state.vacuum import list_history, vacuum
 def _three_commits(tmp_path):
     job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
     for i, seed in enumerate((1, 2, 3)):
-        job.run(binlog(400, 60, seed=seed, base_lsn=1 + i * 10_000),
-                ddl_source=False)
+        job.run(binlog(400, 60, seed=seed, base_lsn=1 + i * 10_000))
     return job
 
 
@@ -66,8 +65,7 @@ class TestTimeTravel:
         job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
         snapshots: dict[int, pd.DataFrame] = {}
         for i, seed in enumerate((1, 2, 3)):
-            res = job.run(binlog(400, 60, seed=seed, base_lsn=1 + i * 10_000),
-                          ddl_source=False)
+            res = job.run(binlog(400, 60, seed=seed, base_lsn=1 + i * 10_000))
             snapshots[res.version] = (
                 job.read_table().to_pandas()
                 .sort_values(["repo", "path"]).reset_index(drop=True)
@@ -113,8 +111,7 @@ def test_retention_policy_bounds_long_streams(tmp_path):
     job = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path))
     snapshots: dict[int, pd.DataFrame] = {}
     for i in range(10):
-        res = job.run(binlog(200, 60, seed=i + 1, base_lsn=1 + i * 10_000),
-                      ddl_source=False)
+        res = job.run(binlog(200, 60, seed=i + 1, base_lsn=1 + i * 10_000))
         snapshots[res.version] = (
             job.read_table().to_pandas()
             .sort_values(["repo", "path"]).reset_index(drop=True)
@@ -168,7 +165,7 @@ def test_temp_manifest_is_not_history(tmp_path):
     with pytest.raises(FileNotFoundError, match="version 4"):
         job.read_table(version=4)
     assert job.ckpt.current_version() == 3
-    res = job.run(binlog(400, 60, seed=4, base_lsn=30_001), ddl_source=False)
+    res = job.run(binlog(400, 60, seed=4, base_lsn=30_001))
     assert res.version == 4 and job.versions() == [1, 2, 3, 4]
 
 
@@ -183,17 +180,16 @@ def test_vacuum_spares_an_in_flight_commit(tmp_path):
     from plugin_debezium_ray.pipelines.streaming_apply import route
 
     job = _three_commits(tmp_path)
-    prep = job._prepare(binlog(400, 60, seed=4, base_lsn=30_001), None, False)
+    prep = job._prepare(binlog(400, 60, seed=4, base_lsn=30_001), None)
     rows, metrics = route(prep)
     vacuum(str(tmp_path), keep_manifests=1)
     assert job._commit(prep, rows, metrics, time.monotonic()).version == 4
-    res = job.run(binlog(400, 60, seed=5, base_lsn=40_001), ddl_source=False)
+    res = job.run(binlog(400, 60, seed=5, base_lsn=40_001))
     assert res.version == 5
 
     ref = ReplayJob(CaptureConfig(num_buckets=4), str(tmp_path / "ref"))
     for i, seed in enumerate((1, 2, 3, 4, 5)):
-        ref.run(binlog(400, 60, seed=seed, base_lsn=1 + i * 10_000),
-                ddl_source=False)
+        ref.run(binlog(400, 60, seed=seed, base_lsn=1 + i * 10_000))
 
     def table(j):
         return (j.read_table().to_pandas().sort_values(["repo", "path"])
@@ -211,7 +207,7 @@ def test_missing_committed_file_raises(tmp_path):
     gone = job.ckpt.bucket_paths()[0]
     os.remove(gone)
     with pytest.raises(Exception, match="bucket=00000"):
-        job.run(binlog(400, 60, seed=4, base_lsn=30_001), ddl_source=False)
+        job.run(binlog(400, 60, seed=4, base_lsn=30_001))
     assert job.ckpt.current_version() == 3
 
 
